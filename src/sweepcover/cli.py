@@ -1,7 +1,8 @@
 """Command-line surface for enumeration, validation, counting, and reports.
 
 Exit codes: 0 success (including empty result sets), 1 oracle mismatch,
-2 input parse failure, 3 parameter validation failure.  All output is
+2 input parse failure, 3 parameter validation failure, 4 internal error
+(any other exception, reported as one line on stderr).  All output is
 deterministic; JSON carries big integers as decimal strings.
 """
 
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_PARAMS = 3
+EXIT_INTERNAL = 4
 
 
 def _read_tree(path: str):
@@ -323,6 +325,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InvalidParamsError, InvalidSizeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
+    except Exception as exc:
+        # Anything else is a fault of the program, not of its input; exit 1
+        # stays reserved for an oracle mismatch.
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,13 +1,14 @@
 """Explicit enumeration: combinatorial generators and sweep-cover search.
 
-`find_sweep_covers` is the recursive search; `brute_force_covers` is a
-deliberately naive exponential reference kept independent of it.
+`find_sweep_covers` is the decomposition search, memoized within each call;
+`brute_force_covers` is a deliberately naive exponential reference kept
+independent of it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .cover import Cover, make_cover, validate, max_cover_size
 from .tree import Tree
@@ -75,7 +76,7 @@ def nonsingleton_partitions(
             yield part
 
 
-# -- recursive cover search --------------------------------------------
+# -- decomposition cover search ----------------------------------------
 
 
 def find_sweep_covers(tree: Tree, n: int) -> set[Cover]:
@@ -86,42 +87,90 @@ def find_sweep_covers(tree: Tree, n: int) -> set[Cover]:
     has children.  Size n >= 2: split the child set into singletons L and
     non-singleton blocks R, distribute the remaining size over the subtrees
     rooted at L via compositions, and combine subtree covers with R.
+
+    Each (subtree root, size) pair is solved once per call, on the original
+    tree's labels, and sizes above a subtree's leaf count (which has no
+    cover) are skipped, so the cost follows the number of distinct
+    subproblems and covers rather than the number of decomposition paths.
     """
     if n < 1:
         raise InvalidSizeError(f"cover size must be >= 1, got {n}")
-    path = tree.linear_path_from(tree.root)
-    child_set = tree.children_of(path[-1])
-    covers: set[Cover] = set()
-    if n == 1:
-        for v in path:
-            covers.add(make_cover([[v]]))
-        if child_set:
-            covers.add(make_cover([child_set]))
-        return covers
-    if not child_set:
-        return covers
-    for part in set_partitions(sorted(child_set), min(n, len(child_set))):
-        nonsingletons = frozenset(b for b in part if len(b) > 1)
-        singles = sorted(next(iter(b)) for b in part if len(b) == 1)
-        if not singles:
-            if len(nonsingletons) == n:
-                covers.add(frozenset(part))
+    return _search(tree, [n])[n]
+
+
+def _search(tree: Tree, sizes: Sequence[int]) -> dict[int, set[Cover]]:
+    """Covers of the whole tree for each size, sharing one memo of subproblems.
+
+    Iterative in the tree's depth: a first pass records, for every
+    (subtree root, size) pair reachable from the requested sizes, the
+    non-singleton blocks and child subproblems of each decomposition; a
+    second pass solves the pairs with descendants before ancestors.
+    """
+    # One pass over the nodes: pre-order, so reversed it puts children first.
+    kids: dict[str, tuple[str, ...]] = {}
+    order: list[str] = []
+    stack = [tree.root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        kids[v] = tree.children_of(v)
+        stack.extend(kids[v])
+    order.reverse()
+    rank = {v: i for i, v in enumerate(order)}
+    leaves: dict[str, int] = {}
+    for v in order:
+        leaves[v] = sum(leaves[c] for c in kids[v]) or 1
+
+    def path_from(v: str) -> list[str]:
+        path = [v]
+        while len(kids[path[-1]]) == 1:
+            path.append(kids[path[-1]][0])
+        return path
+
+    # plans[(v, s)]: (non-singleton blocks, ((child, size), ...)) per decomposition.
+    plans: dict[tuple[str, int], list[tuple[Cover, tuple[tuple[str, int], ...]]]] = {}
+    todo = [(tree.root, s) for s in sizes]
+    while todo:
+        key = todo.pop()
+        if key in plans:
             continue
-        remaining = n - len(nonsingletons)
-        if remaining < len(singles):
+        v, s = key
+        plan = plans[key] = []
+        if s == 1 or s > leaves[v]:
             continue
-        subtrees = [tree.subtree(v) for v in singles]
-        for sizes in compositions(remaining, len(singles)):
-            pools = [find_sweep_covers(sub, size) for sub, size in zip(subtrees, sizes)]
-            if not all(pools):
+        child_set = kids[path_from(v)[-1]]
+        for part in set_partitions(sorted(child_set), min(s, len(child_set))):
+            nonsingletons = frozenset(b for b in part if len(b) > 1)
+            singles = sorted(next(iter(b)) for b in part if len(b) == 1)
+            remaining = s - len(nonsingletons)
+            if not singles:
+                if remaining == 0:
+                    plan.append((nonsingletons, ()))
                 continue
+            if not len(singles) <= remaining <= sum(leaves[c] for c in singles):
+                continue
+            for parts in compositions(remaining, len(singles)):
+                if any(k > leaves[c] for c, k in zip(singles, parts)):
+                    continue
+                subproblems = tuple(zip(singles, parts))
+                plan.append((nonsingletons, subproblems))
+                todo.extend(subproblems)
+
+    solved: dict[tuple[str, int], set[Cover]] = {}
+    for key in sorted(plans, key=lambda k: rank[k[0]]):
+        v, s = key
+        covers: set[Cover] = set()
+        if s == 1:
+            path = path_from(v)
+            covers.update(make_cover([[u]]) for u in path)
+            if kids[path[-1]]:
+                covers.add(make_cover([kids[path[-1]]]))
+        for nonsingletons, subproblems in plans[key]:
+            pools = [solved[sub] for sub in subproblems]
             for combo in itertools.product(*pools):
-                blocks: set[frozenset[str]] = set(nonsingletons)
-                for sub_cover in combo:
-                    blocks |= sub_cover
-                if len(blocks) == n:
-                    covers.add(frozenset(blocks))
-    return covers
+                covers.add(nonsingletons.union(*combo))
+        solved[key] = covers
+    return {s: solved[(tree.root, s)] for s in sizes}
 
 
 def brute_force_covers(tree: Tree, n: int) -> set[Cover]:
@@ -168,5 +217,8 @@ def brute_force_covers(tree: Tree, n: int) -> set[Cover]:
 
 
 def all_sweep_covers(tree: Tree) -> dict[int, set[Cover]]:
-    """Covers of every size from 1 to the leaf count, keyed by size."""
-    return {n: find_sweep_covers(tree, n) for n in range(1, max_cover_size(tree) + 1)}
+    """Covers of every size from 1 to the leaf count, keyed by size.
+
+    All sizes share one memo of (subtree root, size) subproblems.
+    """
+    return _search(tree, range(1, max_cover_size(tree) + 1))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sweepcover import cli
 from sweepcover.cli import main
 from sweepcover.counting import p_count
 
@@ -57,6 +58,16 @@ class TestEnumerate:
     def test_bad_n_exits_3(self, capsys, star_file):
         code, _, _ = run(capsys, "enumerate", "--tree", star_file, "--n", "0")
         assert code == 3
+
+    def test_internal_error_exits_4(self, capsys, star_file, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_enumerate", broken)
+        code, out, err = run(capsys, "enumerate", "--tree", star_file, "--n", "1")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == "error: internal error: RuntimeError: boom\n"
 
 
 class TestValidate:

@@ -1,6 +1,7 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sweepcover.corpus import all_rooted_trees, rooted_tree_codes, tree_from_code
 from sweepcover.counting import count_nonsingleton
@@ -14,7 +15,7 @@ from sweepcover.enumeration import (
     nonsingleton_partitions,
     set_partitions,
 )
-from sweepcover.tree import Tree, parse_tree
+from sweepcover.tree import IldSpec, Tree, build_ild_truncated, parse_tree
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -116,6 +117,39 @@ class TestFindSweepCovers:
             for cover in find_sweep_covers(t, n):
                 assert len(cover) == n
                 assert validate(t, cover).valid
+
+    def test_deep_caterpillar_has_only_the_all_leaves_cover(self):
+        # Spine s0..s39, each inner spine node with one leaf; s39 is a leaf.
+        spine = [f"s{i}" for i in range(40)]
+        t = Tree(spine[0], {s: [f"l{i}", spine[i + 1]] for i, s in enumerate(spine[:-1])})
+        leaves = t.leaves()
+        assert len(leaves) == 40
+        assert find_sweep_covers(t, 40) == {make_cover([[v] for v in leaves])}
+
+    def test_ild_truncation_count(self):
+        t = build_ild_truncated(IldSpec(4, 0, 6))
+        assert len(find_sweep_covers(t, 5)) == 4918
+
+
+@st.composite
+def small_trees(draw, max_nodes=9):
+    """Random rooted trees: node i > 0 hangs below an earlier node, labels shuffled."""
+    size = draw(st.integers(min_value=2, max_value=max_nodes))
+    labels = [f"v{i}" for i in draw(st.permutations(range(size)))]
+    children: dict[str, list[str]] = {}
+    for i in range(1, size):
+        parent = draw(st.integers(min_value=0, max_value=i - 1))
+        children.setdefault(labels[parent], []).append(labels[i])
+    return Tree(labels[0], children)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_trees())
+def test_search_matches_brute_force_on_random_trees(t):
+    per_size = all_sweep_covers(t)
+    assert set(per_size) == set(range(1, max_cover_size(t) + 1))
+    for n, covers in per_size.items():
+        assert find_sweep_covers(t, n) == brute_force_covers(t, n) == covers, n
 
 
 class TestBruteForce:
