@@ -46,28 +46,22 @@ def rooted_tree_codes(n: int) -> tuple[str, ...]:
 
 def tree_from_code(code: str, prefix: str = "n") -> Tree:
     """Materialize a canonical code as a labeled tree (labels prefix0, prefix1, ...)."""
-    counter = 0
     children: dict[str, list[str]] = {}
-
-    def fresh() -> str:
-        nonlocal counter
-        label = f"{prefix}{counter}"
-        counter += 1
-        return label
-
-    def parse(pos: int, parent: str | None) -> int:
-        # pos points at '('; consume the subtree and return the index past ')'.
-        label = fresh()
-        if parent is not None:
-            children.setdefault(parent, []).append(label)
-        pos += 1
-        while code[pos] == "(":
-            pos = parse(pos, label)
-        return pos + 1
-
-    end = parse(0, None)
-    if end != len(code):
-        raise ValueError(f"trailing characters in code {code!r}")
+    open_nodes: list[str] = []  # nodes whose ')' is still to come, outermost first
+    count = 0
+    for ch in code:
+        if ch == "(" and (open_nodes or not count):
+            label = f"{prefix}{count}"
+            count += 1
+            if open_nodes:
+                children.setdefault(open_nodes[-1], []).append(label)
+            open_nodes.append(label)
+        elif ch == ")" and open_nodes:
+            open_nodes.pop()
+        else:
+            raise ValueError(f"malformed code {code!r}")
+    if open_nodes or not count:
+        raise ValueError(f"malformed code {code!r}")
     return Tree(f"{prefix}0", children)
 
 

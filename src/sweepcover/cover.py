@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .tree import Tree, UnknownNodeError
+from .tree import Tree
 
 Block = frozenset
 Cover = frozenset
@@ -84,16 +84,13 @@ class CoverReport:
     witness: tuple[str, ...] | None = None
 
 
-def cover_relatives(tree: Tree, cover: Cover) -> tuple[set[str], set[str]]:
-    """(ancestors, descendants) of the union of all cover blocks."""
-    return tree.relatives(cover_nodes(cover))
-
-
 def validate(tree: Tree, cover: Cover) -> CoverReport:
-    """Check all four sweep-cover conditions, reporting every violated one."""
-    for v in cover_nodes(cover):
-        if v not in tree:
-            raise UnknownNodeError(f"unknown node {v!r}")
+    """Check all four sweep-cover conditions, reporting every violated one.
+
+    Costs O(N + m log m) for N tree nodes and m cover members.  A member
+    that is not a tree node raises `UnknownNodeError` from the tree.
+    """
+    members = cover_nodes(cover)
     violations: list[str] = []
     witness: tuple[str, ...] | None = None
 
@@ -123,18 +120,24 @@ def validate(tree: Tree, cover: Cover) -> CoverReport:
             break
 
     # 3: blocks plus all their ancestors and descendants exhaust the nodes.
-    members = cover_nodes(cover)
     ancestors, descendants = tree.relatives(members)
     uncovered = tree.nodes - members - ancestors - descendants
     if uncovered:
         flag("coverage", (min(uncovered),))
 
-    # 4: no two cover nodes are in an ancestor-descendant relation.
-    for v in sorted(members):
-        hit = tree.ancestors_of(v) & members
-        if hit:
-            flag("no-ancestry", (min(hit), v))
-            break
+    # 4: no two cover nodes are in an ancestor-descendant relation.  Taken
+    # in pre-order, a member lies below an earlier one iff it starts before
+    # the end of the last member that did not.
+    nested = []
+    reach = 0
+    for start, end in sorted(map(tree.span, members)):
+        if start < reach:
+            nested.append(tree.preorder[start])
+        else:
+            reach = end
+    if nested:
+        v = min(nested)
+        flag("no-ancestry", (min(tree.ancestors_of(v) & members), v))
 
     return CoverReport(valid=not violations, violations=tuple(violations), witness=witness)
 
@@ -176,13 +179,7 @@ def induced_subgraphs(tree: Tree, cover: Cover) -> list[Tree]:
     out = []
     for b in canonical_blocks(cover):
         ancestors, descendants = tree.relatives(b)
-        keep = set(b) | ancestors | descendants
-        children = {
-            v: [c for c in tree.children_of(v) if c in keep]
-            for v in keep
-            if any(c in keep for c in tree.children_of(v))
-        }
-        out.append(Tree(tree.root, children))
+        out.append(tree.restrict(ancestors | descendants | set(b)))
     return out
 
 
@@ -208,12 +205,7 @@ def embedding_tree(tree: Tree, cover: Cover, selection: Mapping[int, str]) -> Tr
     for v in chosen:
         keep.add(v)
         keep |= tree.ancestors_of(v)
-    children = {
-        v: [c for c in tree.children_of(v) if c in keep]
-        for v in keep
-        if any(c in keep for c in tree.children_of(v))
-    }
-    return Tree(tree.root, children)
+    return tree.restrict(keep)
 
 
 def max_cover_size(tree: Tree) -> int:

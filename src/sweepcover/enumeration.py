@@ -48,20 +48,23 @@ def set_partitions(
     items = list(elements)
     if not items or max_blocks < 1:
         return
+    # assign[i] is the block of items[i]; used[i] counts the blocks among
+    # assign[:i], and item i may open at most one new block.
     assign = [0] * len(items)
-
-    def rec(i: int, used: int) -> Iterator[tuple[frozenset[str], ...]]:
-        if i == len(items):
-            blocks: list[list[str]] = [[] for _ in range(used)]
-            for idx, b in enumerate(assign):
-                blocks[b].append(items[idx])
-            yield tuple(frozenset(b) for b in blocks)
+    used = [0] + [1] * len(items)
+    while True:
+        blocks: list[list[str]] = [[] for _ in range(used[-1])]
+        for item, b in zip(items, assign):
+            blocks[b].append(item)
+        yield tuple(frozenset(b) for b in blocks)
+        i = len(items) - 1
+        while i > 0 and assign[i] >= min(used[i], max_blocks - 1):
+            i -= 1
+        if i == 0:
             return
-        for b in range(min(used + 1, max_blocks)):
-            assign[i] = b
-            yield from rec(i + 1, max(used, b + 1))
-
-    yield from rec(0, 0)
+        assign[i] += 1
+        assign[i + 1 :] = [0] * (len(items) - 1 - i)
+        used[i + 1 :] = [max(used[i], assign[i] + 1)] * (len(items) - i)
 
 
 def nonsingleton_partitions(
@@ -79,6 +82,31 @@ def nonsingleton_partitions(
 # -- decomposition cover search ----------------------------------------
 
 
+def _capped_compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Compositions of `total` with 1 <= part i <= caps[i], lexicographic.
+
+    Each part stays within what the later parts can still make up, so every
+    prefix extends to a composition and none is thrown away.  With no caps,
+    the empty composition is yielded when `total` is 0.
+    """
+    if not len(caps) <= total <= sum(caps):
+        return
+    if len(caps) < 2:  # no part, or one part taking the whole total
+        yield (total,) * len(caps)
+        return
+    last = len(caps) - 1  # the last part takes whatever is left
+    room = list(itertools.accumulate(reversed(caps), initial=0))[::-1]  # sum(caps[i:])
+    stack = [((), total)]
+    while stack:
+        prefix, left = stack.pop()
+        i = len(prefix)
+        if i == last:
+            yield prefix + (left,)
+            continue
+        lo, hi = max(1, left - room[i + 1]), min(caps[i], left - (last - i))
+        stack.extend((prefix + (k,), left - k) for k in range(hi, lo - 1, -1))
+
+
 def find_sweep_covers(tree: Tree, n: int) -> set[Cover]:
     """All sweep-covers of size n, found by recursive decomposition.
 
@@ -89,9 +117,10 @@ def find_sweep_covers(tree: Tree, n: int) -> set[Cover]:
     rooted at L via compositions, and combine subtree covers with R.
 
     Each (subtree root, size) pair is solved once per call, on the original
-    tree's labels, and sizes above a subtree's leaf count (which has no
-    cover) are skipped, so the cost follows the number of distinct
-    subproblems and covers rather than the number of decomposition paths.
+    tree's labels, and only compositions that give no subtree more than its
+    leaf count (a subtree has no larger cover) are generated, so the cost
+    follows the number of distinct subproblems and covers rather than the
+    number of decomposition paths.
     """
     if n < 1:
         raise InvalidSizeError(f"cover size must be >= 1, got {n}")
@@ -106,26 +135,9 @@ def _search(tree: Tree, sizes: Sequence[int]) -> dict[int, set[Cover]]:
     non-singleton blocks and child subproblems of each decomposition; a
     second pass solves the pairs with descendants before ancestors.
     """
-    # One pass over the nodes: pre-order, so reversed it puts children first.
-    kids: dict[str, tuple[str, ...]] = {}
-    order: list[str] = []
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        kids[v] = tree.children_of(v)
-        stack.extend(kids[v])
-    order.reverse()
-    rank = {v: i for i, v in enumerate(order)}
     leaves: dict[str, int] = {}
-    for v in order:
-        leaves[v] = sum(leaves[c] for c in kids[v]) or 1
-
-    def path_from(v: str) -> list[str]:
-        path = [v]
-        while len(kids[path[-1]]) == 1:
-            path.append(kids[path[-1]][0])
-        return path
+    for v in reversed(tree.preorder):
+        leaves[v] = sum(leaves[c] for c in tree.children_of(v)) or 1
 
     # plans[(v, s)]: (non-singleton blocks, ((child, size), ...)) per decomposition.
     plans: dict[tuple[str, int], list[tuple[Cover, tuple[tuple[str, int], ...]]]] = {}
@@ -138,33 +150,26 @@ def _search(tree: Tree, sizes: Sequence[int]) -> dict[int, set[Cover]]:
         plan = plans[key] = []
         if s == 1 or s > leaves[v]:
             continue
-        child_set = kids[path_from(v)[-1]]
+        child_set = tree.children_of(tree.lowest_known_descendant(v))
         for part in set_partitions(sorted(child_set), min(s, len(child_set))):
             nonsingletons = frozenset(b for b in part if len(b) > 1)
             singles = sorted(next(iter(b)) for b in part if len(b) == 1)
             remaining = s - len(nonsingletons)
-            if not singles:
-                if remaining == 0:
-                    plan.append((nonsingletons, ()))
-                continue
-            if not len(singles) <= remaining <= sum(leaves[c] for c in singles):
-                continue
-            for parts in compositions(remaining, len(singles)):
-                if any(k > leaves[c] for c, k in zip(singles, parts)):
-                    continue
+            for parts in _capped_compositions(remaining, [leaves[c] for c in singles]):
                 subproblems = tuple(zip(singles, parts))
                 plan.append((nonsingletons, subproblems))
                 todo.extend(subproblems)
 
     solved: dict[tuple[str, int], set[Cover]] = {}
-    for key in sorted(plans, key=lambda k: rank[k[0]]):
+    # Descendants come later in pre-order, so they are solved first.
+    for key in sorted(plans, key=lambda k: tree.span(k[0]), reverse=True):
         v, s = key
         covers: set[Cover] = set()
         if s == 1:
-            path = path_from(v)
+            path = tree.linear_path_from(v)
             covers.update(make_cover([[u]]) for u in path)
-            if kids[path[-1]]:
-                covers.add(make_cover([kids[path[-1]]]))
+            if tree.children_of(path[-1]):
+                covers.add(make_cover([tree.children_of(path[-1])]))
         for nonsingletons, subproblems in plans[key]:
             pools = [solved[sub] for sub in subproblems]
             for combo in itertools.product(*pools):

@@ -3,11 +3,17 @@
 Trees are immutable after construction and safe to share between threads.
 Node labels are opaque strings; anything that produces deterministic output
 sorts labels lexicographically.
+
+Construction makes one iterative pre-order pass and keeps its result as an
+index: `preorder` lists the nodes, children in stored order, and `span(v)`
+gives v's position in it and the end of v's subtree.  The index answers
+every ancestry question without walking the tree: u is a proper ancestor of
+v iff span(u)[0] < span(v)[0] < span(u)[1], v's descendants are a slice of
+`preorder`, and reversing `preorder` visits children before their parents.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -55,12 +61,11 @@ class Tree:
     edges form a single tree rooted at `root`.
     """
 
-    __slots__ = ("root", "_children", "_parent", "_depth")
+    __slots__ = ("root", "nodes", "preorder", "_children", "_parent", "_span")
 
     def __init__(self, root: str, children: Mapping[str, Iterable[str]]):
         child_map: dict[str, tuple[str, ...]] = {}
         parent: dict[str, str] = {}
-        nodes = {root}
         _check_label(root)
         for p, kids in children.items():
             _check_label(p)
@@ -75,44 +80,51 @@ class Tree:
                     raise MultipleParentsError(f"node {c} has parents {parent[c]} and {p}")
                 parent[c] = p
             child_map[p] = kids
-            nodes.add(p)
-            nodes.update(kids)
         if root in parent:
             raise CycleError(f"root {root} has a parent")
-        # BFS from the root: every node must be reached exactly once.
-        depth = {root: 0}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for c in child_map.get(v, ()):
-                depth[c] = depth[v] + 1
-                queue.append(c)
-        if len(depth) != len(nodes):
-            stranded = sorted(nodes - depth.keys())
+        # Pre-order from the root: every node must be reached exactly once.
+        order: list[str] = []
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            if v in child_map:
+                stack.extend(child_map[v][::-1])
+        nodes = {root, *child_map, *parent}
+        if len(order) != len(nodes):
+            stranded = sorted(nodes.difference(order))
             orphans = [v for v in stranded if v not in parent]
             if orphans:
                 raise MultipleRootsError(f"unreachable parentless nodes: {orphans}")
             raise CycleError(f"nodes not reachable from root: {stranded}")
+        # A subtree ends where the subtree of its last child ends.
+        span: dict[str, tuple[int, int]] = {}
+        for i in range(len(order) - 1, -1, -1):
+            kids = child_map.get(order[i])
+            span[order[i]] = (i, span[kids[-1]][1] if kids else i + 1)
         self.root = root
+        self.nodes = frozenset(order)
+        self.preorder = tuple(order)
         self._children = child_map
         self._parent = parent
-        self._depth = depth
+        self._span = span
 
     # -- basic queries -------------------------------------------------
 
-    @property
-    def nodes(self) -> frozenset[str]:
-        return frozenset(self._depth)
-
     def __len__(self) -> int:
-        return len(self._depth)
+        return len(self.preorder)
 
     def __contains__(self, label: str) -> bool:
-        return label in self._depth
+        return label in self._span
 
     def _require(self, v: str) -> None:
-        if v not in self._depth:
+        if v not in self._span:
             raise UnknownNodeError(f"unknown node {v!r}")
+
+    def span(self, v: str) -> tuple[int, int]:
+        """(start, end) such that v's subtree is `preorder[start:end]`, v first."""
+        self._require(v)
+        return self._span[v]
 
     def children_of(self, v: str) -> tuple[str, ...]:
         self._require(v)
@@ -129,7 +141,7 @@ class Tree:
         return self.out_degree(v) == 0
 
     def leaves(self) -> tuple[str, ...]:
-        return tuple(sorted(v for v in self._depth if not self._children.get(v)))
+        return tuple(sorted(v for v in self.preorder if not self._children.get(v)))
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         """All edges, parents in sorted order, children in stored order."""
@@ -141,8 +153,7 @@ class Tree:
 
     def depth(self, v: str) -> int:
         """Number of edges on the unique root-to-v path; depth(root) == 0."""
-        self._require(v)
-        return self._depth[v]
+        return len(self.ancestors_of(v))
 
     # -- structural queries --------------------------------------------
 
@@ -172,31 +183,41 @@ class Tree:
 
     def descendants_of(self, v: str) -> set[str]:
         """Proper descendants of v."""
-        self._require(v)
-        out: set[str] = set()
-        stack = list(self.children_of(v))
-        while stack:
-            u = stack.pop()
-            out.add(u)
-            stack.extend(self._children.get(u, ()))
-        return out
+        start, end = self.span(v)
+        return set(self.preorder[start + 1 : end])
 
     def relatives(self, vs: Iterable[str]) -> tuple[set[str], set[str]]:
-        """(proper ancestors, proper descendants) of any member of vs."""
-        vs = list(vs)
+        """(proper ancestors, proper descendants) of any member of vs.
+
+        Members are taken in pre-order and each node is collected once: a
+        parent walk stops at the first ancestor already collected, and a
+        member inside an earlier member's subtree adds no slice of its own.
+        """
         ancestors: set[str] = set()
         descendants: set[str] = set()
-        for v in vs:
-            ancestors |= self.ancestors_of(v)
-            descendants |= self.descendants_of(v)
+        reach = 0
+        for start, end in sorted({self.span(v) for v in vs}):
+            p = self._parent.get(self.preorder[start])
+            while p is not None and p not in ancestors:
+                ancestors.add(p)
+                p = self._parent.get(p)
+            if start >= reach:
+                descendants.update(self.preorder[start + 1 : end])
+                reach = end
         return ancestors, descendants
 
     def subtree(self, v: str) -> "Tree":
         """The subtree rooted at v, with original labels."""
-        self._require(v)
-        keep = self.descendants_of(v) | {v}
-        children = {u: self._children[u] for u in keep if self._children.get(u)}
-        return Tree(v, children)
+        start, end = self.span(v)
+        return Tree(v, {u: self.children_of(u) for u in self.preorder[start:end]})
+
+    def restrict(self, keep: Iterable[str]) -> "Tree":
+        """The tree on the nodes in `keep`, rooted at the original root.
+
+        `keep` must hold the root and every ancestor of its members.
+        """
+        keep = set(keep)
+        return Tree(self.root, {v: [c for c in self.children_of(v) if c in keep] for v in keep})
 
     def __repr__(self) -> str:
         return f"Tree(root={self.root!r}, nodes={len(self)})"
@@ -211,7 +232,7 @@ def parse_tree(text: str) -> Tree:
     '#' starts a comment; blank lines are ignored.  Children keep the order
     in which their edges appear.
     """
-    edges: list[tuple[str, str]] = []
+    children: dict[str, list[str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -219,26 +240,13 @@ def parse_tree(text: str) -> Tree:
         fields = line.split()
         if len(fields) != 2:
             raise TreeError(f"line {lineno}: expected 'parent child', got {raw!r}")
-        edges.append((fields[0], fields[1]))
-    if not edges:
+        children.setdefault(fields[0], []).append(fields[1])
+    if not children:
         raise EmptyDocumentError("no edges in document")
-
-    children: dict[str, list[str]] = {}
-    parent: dict[str, str] = {}
-    for p, c in edges:
-        if parent.get(c) == p:
-            raise DuplicateEdgeError(f"duplicate edge {p} -> {c}")
-        if c in parent:
-            raise MultipleParentsError(f"node {c} has parents {parent[c]} and {p}")
-        parent[c] = p
-        children.setdefault(p, []).append(c)
-
-    roots = sorted(set(children) - set(parent))
-    if len(roots) > 1:
-        raise MultipleRootsError(f"multiple root candidates: {roots}")
-    if not roots:
-        raise CycleError("every node has a parent; the edges contain a cycle")
-    return Tree(roots[0], children)
+    # The root is a parent that is nobody's child.  Tree reports duplicate
+    # edges, second parents, cycles and further roots.
+    heads = set(children).difference(*children.values())
+    return Tree(min(heads, default=next(iter(children))), children)
 
 
 def serialize_tree(tree: Tree) -> str:
@@ -313,7 +321,7 @@ def canonical_code(tree: Tree) -> str:
     order).
     """
 
-    def code(v: str) -> str:
-        return "(" + "".join(sorted(code(c) for c in tree.children_of(v))) + ")"
-
-    return code(tree.root)
+    code: dict[str, str] = {}
+    for v in reversed(tree.preorder):
+        code[v] = "(" + "".join(sorted(code.pop(c) for c in tree.children_of(v))) + ")"
+    return code[tree.root]

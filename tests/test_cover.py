@@ -1,16 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sweepcover.cover import (
     BadSelectionError,
+    CoverReport,
     InvalidCoverError,
     LeafNodeError,
     NotAPartitionOfChildrenError,
     NotASingletonMemberError,
     canonical_blocks,
     cover_from_json,
-    cover_relatives,
     cover_to_json,
     embedding_tree,
     induced_subgraphs,
@@ -20,7 +21,7 @@ from sweepcover.cover import (
     validate,
 )
 from sweepcover.corpus import random_labeled_tree
-from sweepcover.tree import canonical_code, parse_tree
+from sweepcover.tree import Tree, UnknownNodeError, canonical_code, parse_tree
 
 STAR = parse_tree("r a\nr b")
 FORK = parse_tree("r a\nr b\na c\na d")
@@ -62,13 +63,6 @@ class TestValidate:
         tree = parse_tree("r a\nr b\na c\nb d")
         report = validate(tree, make_cover([["a"], ["c", "d"]]))
         assert set(report.violations) >= {"siblings", "no-ancestry"}
-
-
-def test_cover_relatives():
-    assert cover_relatives(STAR, make_cover([["a", "b"]])) == ({"r"}, set())
-    chain = parse_tree("a b\nb c")
-    assert cover_relatives(chain, make_cover([["b"]])) == ({"a"}, {"c"})
-    assert cover_relatives(FORK, make_cover([["c", "d"], ["b"]])) == ({"r", "a"}, set())
 
 
 class TestSwapChildren:
@@ -217,3 +211,86 @@ def test_random_swap_walk_preserves_validity():
         cover = random_valid_cover(rng, tree)
         assert validate(tree, cover).valid
         assert len(cover) <= max_cover_size(tree)
+
+
+def reference_report(tree, cover):
+    """The four conditions read straight off their definitions.
+
+    Ancestry comes from parent walks alone and every condition from set
+    algebra; witnesses are the ones `validate` reports (the first offender
+    in canonical block order, otherwise the least label).
+    """
+
+    def ancestors(v):
+        out = set()
+        while (v := tree.parent_of(v)) is not None:
+            out.add(v)
+        return out
+
+    blocks = canonical_blocks(cover)
+    members = set().union(*blocks)
+    found = []
+    shared = [v for i, b in enumerate(blocks) for v in b if any(v in a for a in blocks[:i])]
+    if shared:
+        found.append(("disjoint", (shared[0],)))
+    mixed = [b for b in blocks if len({tree.parent_of(v) for v in b}) > 1]
+    if mixed:
+        found.append(("siblings", mixed[0]))
+    uncovered = {v for v in tree.nodes if not ({v} | ancestors(v)) & members} - {
+        a for m in members for a in ancestors(m)
+    }
+    if uncovered:
+        found.append(("coverage", (min(uncovered),)))
+    nested = [(min(ancestors(v) & members), v) for v in sorted(members) if ancestors(v) & members]
+    if nested:
+        found.append(("no-ancestry", nested[0]))
+    return CoverReport(
+        valid=not found,
+        violations=tuple(cond for cond, _ in found),
+        witness=found[0][1] if found else None,
+    )
+
+
+@st.composite
+def trees_with_covers(draw, max_nodes=30):
+    """A random tree of up to max_nodes nodes and an arbitrary cover of it.
+
+    The cover mixes part of a valid cover reached by child swaps with
+    arbitrary node sets and sibling sets, so a few covers are valid and most
+    are not.
+    """
+    size = draw(st.integers(min_value=1, max_value=max_nodes))
+    labels = [f"v{i}" for i in draw(st.permutations(range(size)))]
+    children: dict[str, list[str]] = {}
+    for i in range(1, size):
+        parent = draw(st.integers(min_value=0, max_value=i - 1))
+        children.setdefault(labels[parent], []).append(labels[i])
+    tree = Tree(labels[0], children)
+    nodes = st.sampled_from(sorted(tree.nodes))
+    swapped = [list(b) for b in random_valid_cover(draw(st.randoms()), tree)]
+    blocks = swapped[: draw(st.integers(min_value=0, max_value=len(swapped)))]
+    blocks += draw(st.lists(st.sets(nodes, min_size=1), max_size=3))
+    for v in draw(st.lists(nodes, max_size=3)):
+        if tree.children_of(v):
+            blocks.append(draw(st.sets(st.sampled_from(tree.children_of(v)), min_size=1)))
+    return tree, make_cover(blocks or swapped)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees_with_covers(), st.booleans())
+def test_validate_matches_definitions(case, foreign):
+    tree, cover = case
+    if foreign:
+        with pytest.raises(UnknownNodeError):
+            validate(tree, cover | {frozenset({"not-a-node"})})
+        return
+    assert validate(tree, cover) == reference_report(tree, cover)
+
+
+def test_deep_caterpillar_all_leaves_cover_is_valid():
+    # Spine s0..s4000, each inner spine node with one leaf: 4,001 leaves.
+    spine = [f"s{i}" for i in range(4001)]
+    tree = Tree(spine[0], {s: [f"l{i}", spine[i + 1]] for i, s in enumerate(spine[:-1])})
+    cover = make_cover([[v] for v in tree.leaves()])
+    assert len(cover) == 4001
+    assert validate(tree, cover) == CoverReport(valid=True, violations=())

@@ -8,6 +8,7 @@ from sweepcover.counting import count_nonsingleton
 from sweepcover.cover import make_cover, max_cover_size, validate
 from sweepcover.enumeration import (
     InvalidSizeError,
+    _capped_compositions,
     all_sweep_covers,
     brute_force_covers,
     compositions,
@@ -31,6 +32,12 @@ class TestCompositions:
         got = list(compositions(5, 3))
         assert len(got) == comb(4, 2)
         assert all(sum(c) == 5 and all(p >= 1 for p in c) for c in got)
+
+    def test_capped_is_filtered_compositions(self):
+        for caps in [(1,), (3,), (1, 4), (2, 1, 3), (5, 1, 1, 2)]:
+            for k in range(0, sum(caps) + 2):
+                want = [c for c in compositions(k, len(caps)) if all(p <= cap for p, cap in zip(c, caps))]
+                assert list(_capped_compositions(k, caps)) == want, (caps, k)
 
     def test_lexicographic_and_counts(self):
         for k in range(1, 13):
@@ -59,6 +66,19 @@ class TestSetPartitions:
     def test_block_cap(self):
         got = list(set_partitions(list("abcd"), 2))
         assert all(len(p) <= 2 for p in got)
+
+    def test_restricted_growth_order(self):
+        got = list(set_partitions(list("abc"), 2))
+        assert got == [
+            (frozenset("abc"),),
+            (frozenset("ab"), frozenset("c")),
+            (frozenset("ac"), frozenset("b")),
+            (frozenset("a"), frozenset("bc")),
+        ]
+
+    def test_many_elements(self):
+        items = [str(i) for i in range(5000)]
+        assert next(iter(set_partitions(items, 2))) == (frozenset(items),)
 
 
 class TestNonsingletonPartitions:
@@ -119,12 +139,13 @@ class TestFindSweepCovers:
                 assert validate(t, cover).valid
 
     def test_deep_caterpillar_has_only_the_all_leaves_cover(self):
-        # Spine s0..s39, each inner spine node with one leaf; s39 is a leaf.
-        spine = [f"s{i}" for i in range(40)]
-        t = Tree(spine[0], {s: [f"l{i}", spine[i + 1]] for i, s in enumerate(spine[:-1])})
-        leaves = t.leaves()
-        assert len(leaves) == 40
-        assert find_sweep_covers(t, 40) == {make_cover([[v] for v in leaves])}
+        for length in (40, 3000):
+            # Spine s0..s{length-1}, each inner spine node with one leaf; the last is a leaf.
+            spine = [f"s{i}" for i in range(length)]
+            t = Tree(spine[0], {s: [f"l{i}", spine[i + 1]] for i, s in enumerate(spine[:-1])})
+            leaves = t.leaves()
+            assert len(leaves) == length
+            assert find_sweep_covers(t, length) == {make_cover([[v] for v in leaves])}
 
     def test_ild_truncation_count(self):
         t = build_ild_truncated(IldSpec(4, 0, 6))

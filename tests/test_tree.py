@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from sweepcover.corpus import tree_from_code
 from sweepcover.tree import (
     CycleError,
     DuplicateEdgeError,
@@ -104,6 +105,11 @@ class TestQueries:
         t = chain("a", "b", "c")
         assert t.relatives({"b"}) == ({"a"}, {"c"})
 
+    def test_relatives_fork(self):
+        t = parse_tree("r a\nr b\na c\na d")
+        assert t.relatives({"c", "d", "b"}) == ({"r", "a"}, set())
+        assert t.relatives({"a", "c"}) == ({"r", "a"}, {"c", "d"})
+
     def test_subtree(self):
         t = parse_tree("r a\nr b\na c\na d")
         sub = t.subtree("a")
@@ -165,6 +171,11 @@ class TestCanonicalCode:
         t2 = parse_tree("r a\nr b\nb c")
         assert canonical_code(t1) == canonical_code(t2)
 
+    def test_deep_chain_round_trips(self):
+        code = canonical_code(chain(*(f"c{i}" for i in range(5000))))
+        assert code == "(" * 5000 + ")" * 5000
+        assert canonical_code(tree_from_code(code)) == code
+
 
 @given(st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=15))
 def test_random_attachment_tree_invariants(parent_picks):
@@ -178,5 +189,9 @@ def test_random_attachment_tree_invariants(parent_picks):
         assert all(t.out_degree(u) == 1 for u in path[:-1])
         assert t.out_degree(path[-1]) != 1
         assert (t.lowest_known_descendant(v) == v) == (t.out_degree(v) != 1)
+        start, end = t.span(v)
+        assert t.preorder[start] == v
+        assert t.descendants_of(v) == {u for u in t.nodes if v in t.ancestors_of(u)}
+        assert {u for u in t.nodes if t.span(u)[0] < start < t.span(u)[1]} == t.ancestors_of(v)
     again = parse_tree(serialize_tree(t))
     assert again.nodes == t.nodes and set(again.edges()) == set(t.edges())
