@@ -8,7 +8,7 @@ and no two covered nodes are related by ancestry.
 from sweepcover import (
     all_sweep_covers,
     brute_force_covers,
-    canonical_blocks,
+    canonical_rows,
     find_sweep_covers,
     max_cover_size,
     parse_tree,
@@ -31,8 +31,8 @@ def main():
     for n in range(1, max_cover_size(tree) + 1):
         covers = find_sweep_covers(tree, n)
         print(f"covers of size {n}:")
-        for cover in sorted(canonical_blocks(c) for c in covers):
-            print("   ", [list(b) for b in cover])
+        for _, text in canonical_rows(covers):
+            print("   ", text)
         # the naive exhaustive search agrees
         assert covers == brute_force_covers(tree, n)
 

@@ -26,7 +26,7 @@ from .counting import (
 )
 from .cover import (
     CoverError,
-    canonical_blocks,
+    canonical_rows,
     cover_from_json,
     validate,
 )
@@ -68,19 +68,18 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
         return EXIT_PARAMS
     tree = _read_tree(args.tree)
-    covers = sorted(canonical_blocks(c) for c in find_sweep_covers(tree, args.n))
-    listed = [[list(b) for b in c] for c in covers]
+    rows = canonical_rows(find_sweep_covers(tree, args.n))
     if args.format == "json":
-        text = json.dumps({"n": args.n, "count": len(listed), "covers": listed}, indent=2) + "\n"
+        covers = [blocks for blocks, _ in rows]
+        text = json.dumps({"n": args.n, "count": len(rows), "covers": covers}, indent=2) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["size", "cover"])
-        for c in listed:
-            writer.writerow([args.n, json.dumps(c)])
+        writer.writerows([args.n, cover] for _, cover in rows)
         text = buf.getvalue()
     else:
-        text = "".join(json.dumps(c) + "\n" for c in listed)
+        text = "".join(cover + "\n" for _, cover in rows)
     _write(args.out, text)
     return EXIT_OK
 

@@ -63,9 +63,32 @@ def canonical_blocks(cover: Cover) -> tuple[tuple[str, ...], ...]:
     return tuple(sorted(tuple(sorted(b)) for b in cover))
 
 
+def canonical_rows(covers: Iterable[Cover]) -> list[tuple[tuple[tuple[str, ...], ...], str]]:
+    """Covers in canonical order, each as its `canonical_blocks` and its JSON text.
+
+    Each distinct block is sorted and JSON-encoded once per call; a cover
+    then costs a sort of its block ranks and one join of cached texts.
+    Blocks are ranked in canonical order, so sorting covers by their rank
+    tuples sorts them by `canonical_blocks`, never by JSON text, whose
+    escaping can order labels differently.
+    """
+    covers = list(covers)
+    # Distinct blocks have distinct label tuples, so the sort never compares
+    # the frozensets themselves.
+    keyed = sorted((tuple(sorted(b)), b) for b in frozenset().union(*covers))
+    rank = {b: i for i, (_, b) in enumerate(keyed)}
+    keys = [key for key, _ in keyed]
+    texts = [json.dumps(key) for key in keys]
+    ranked = sorted([tuple(sorted(map(rank.__getitem__, c))) for c in covers])
+    return [
+        (tuple(map(keys.__getitem__, r)), "[" + ", ".join(map(texts.__getitem__, r)) + "]")
+        for r in ranked
+    ]
+
+
 def cover_to_json(cover: Cover) -> str:
     """Serialize as a JSON array of arrays of labels, canonical ordering."""
-    return json.dumps([list(b) for b in canonical_blocks(cover)])
+    return canonical_rows([cover])[0][1]
 
 
 def cover_from_json(text: str) -> Cover:

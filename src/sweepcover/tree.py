@@ -14,6 +14,7 @@ v iff span(u)[0] < span(v)[0] < span(u)[1], v's descendants are a slice of
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -46,10 +47,15 @@ class UnknownNodeError(TreeError):
     """A queried node does not belong to the tree."""
 
 
+# `\s` in a str pattern matches exactly the characters for which
+# `str.isspace()` is true.
+_FORBIDDEN_IN_LABEL = re.compile(r"[\s#]").search
+
+
 def _check_label(label: str) -> None:
     if not label:
         raise TreeError("empty node label")
-    if "#" in label or any(ch.isspace() for ch in label):
+    if _FORBIDDEN_IN_LABEL(label):
         raise TreeError(f"node label contains whitespace or '#': {label!r}")
 
 

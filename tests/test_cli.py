@@ -1,12 +1,19 @@
+import contextlib
 import csv
 import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sweepcover import cli
 from sweepcover.cli import main
 from sweepcover.counting import p_count
+from sweepcover.cover import canonical_blocks, cover_to_json, max_cover_size
+from sweepcover.enumeration import find_sweep_covers
+from sweepcover.tree import Tree, serialize_tree
 
 STAR = "r a\nr b\n"
 
@@ -68,6 +75,62 @@ class TestEnumerate:
         assert code == cli.EXIT_INTERNAL == 4
         assert out == ""
         assert err == "error: internal error: RuntimeError: boom\n"
+
+
+# Label pairs whose JSON texts sort the other way round from the labels
+# ("a" < "a!" but '"a"' > '"a!"'), or that JSON escapes.
+TRICKY_LABELS = ["a", "a!", 'a"', '"', "$", "\\", "\x01", "\x7f", "é", "é!", "z", "A"]
+
+
+@st.composite
+def tricky_trees(draw, max_nodes=12, max_children=4):
+    """Random rooted trees over TRICKY_LABELS, shuffled.
+
+    Fan-out is capped because a star's covers number a Bell number of its
+    leaves (678,570 for 11).
+    """
+    size = draw(st.integers(min_value=2, max_value=max_nodes))
+    labels = draw(st.permutations(TRICKY_LABELS))[:size]
+    children: dict[str, list[str]] = {}
+    for i in range(1, size):
+        open_parents = [j for j in range(i) if len(children.get(labels[j], ())) < max_children]
+        parent = draw(st.sampled_from(open_parents))
+        children.setdefault(labels[parent], []).append(labels[i])
+    return Tree(labels[0], children)
+
+
+def formatted_by_definition(covers, n, fmt):
+    """`enumerate` output built cover by cover: canonical sort, one json.dumps each."""
+    listed = [[list(b) for b in c] for c in sorted(canonical_blocks(c) for c in covers)]
+    if fmt == "json":
+        return json.dumps({"n": n, "count": len(listed), "covers": listed}, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["size", "cover"])
+        for c in listed:
+            writer.writerow([n, json.dumps(c)])
+        return buf.getvalue()
+    return "".join(json.dumps(c) + "\n" for c in listed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tricky_trees())
+def test_enumerate_output_matches_definition(tree):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.tree")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize_tree(tree))
+        for n in range(1, max_cover_size(tree) + 1):
+            covers = find_sweep_covers(tree, n)
+            for c in covers:
+                assert cover_to_json(c) == json.dumps([list(b) for b in canonical_blocks(c)])
+            for fmt in ("text", "json", "csv"):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(["enumerate", "--tree", path, "--n", str(n), "--format", fmt])
+                assert code == 0
+                assert out.getvalue() == formatted_by_definition(covers, n, fmt), (n, fmt)
 
 
 class TestValidate:

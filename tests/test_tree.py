@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -61,6 +63,21 @@ class TestParse:
     def test_malformed_line(self):
         with pytest.raises(TreeError):
             parse_tree("r a b")
+
+    def test_label_characters(self):
+        every = [chr(i) for i in range(sys.maxunicode + 1)]
+        for bad in [ch for ch in every if ch.isspace()] + ["#"]:
+            for label in (bad, f"a{bad}b"):
+                with pytest.raises(TreeError) as info:
+                    Tree("r", {"r": ["x", label]})
+                assert str(info.value) == f"node label contains whitespace or '#': {label!r}"
+        for root, children in (("", {"": ["a"]}), ("r", {"r": [""]})):
+            with pytest.raises(TreeError, match="^empty node label$"):
+                Tree(root, children)
+        # Every other character is allowed: long labels hold them all.
+        rest = "".join(ch for ch in every if not ch.isspace() and ch != "#")
+        labels = [rest[i : i + 4096] for i in range(0, len(rest), 4096)]
+        assert len(Tree("r", {"r": labels})) == len(labels) + 1
 
     def test_serialize_round_trip(self):
         t = parse_tree("r b\nr a\na c\na d")
