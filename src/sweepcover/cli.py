@@ -23,6 +23,7 @@ from .counting import (
     p_count,
     p_table,
     raney_bound_report,
+    series_coefficients,
 )
 from .cover import (
     CoverError,
@@ -191,10 +192,9 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n", "recurrence_count", "truncated_brute_force_count"])
-    for n in range(1, args.n_max + 1):
-        recurrence = p_count(args.delta, args.gamma, n)
-        brute = len(brute_force_covers(tree, n))
-        writer.writerow([n, recurrence, brute])
+    counts = series_coefficients(args.delta, args.gamma, args.n_max) if args.n_max >= 1 else []
+    for n, recurrence in enumerate(counts, 1):
+        writer.writerow([n, recurrence, len(brute_force_covers(tree, n))])
     _write(args.out, buf.getvalue())
     return EXIT_OK
 

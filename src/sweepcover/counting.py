@@ -1,17 +1,19 @@
-"""Exact counting of sweep-covers on truncations-free infinite star trees.
+"""Exact counting of sweep-covers on truncation-free infinite star trees.
 
 Everything here works in unbounded Python integers; scientific notation is a
 display concern for callers.  The central quantity is ``p_count(delta,
 gamma, n)``, the number of sweep-covers of size n on the infinite tree of
-delta-stars joined by gamma-edge paths, evaluated by memoized recurrence.
+delta-stars joined by gamma-edge paths: coefficient n of one power series,
+solved from its algebraic equation one coefficient at a time at
+O(delta * n^2) big-integer multiplies, with no recursion and no cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
+from math import comb, exp, log
+from operator import mul
 
 from .enumeration import compositions
 
@@ -24,29 +26,38 @@ class NonIntegerResultError(ArithmeticError):
     """The Raney formula division did not come out exact."""
 
 
-@lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
     """Partitions of n elements into k non-empty blocks.
 
     Out-of-range arguments (negative k, k > n) give 0 so that callers can
     apply summation formulas without boundary special-casing.
     """
-    if n == 0 and k == 0:
-        return 1
-    if n <= 0 or k <= 0 or k > n:
+    if n < 0 or k < 0 or k > n:
         return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    row = [1] + [0] * k
+    for i in range(1, n + 1):
+        for j in range(min(i, k), 0, -1):
+            row[j] = j * row[j] + row[j - 1]
+        row[0] = 0
+    return row[k]
+
+
+def _nonsingleton_rows(n_max: int, m_max: int) -> list[list[int]]:
+    """``R[n][m]`` = count_nonsingleton(n, m) for n <= n_max, m <= m_max, by
+    the associated Stirling recurrence R(n, m) = m*R(n-1, m) + (n-1)*R(n-2, m-1).
+    """
+    rows = [[1] + [0] * m_max, [0] * (m_max + 1)]
+    for n in range(2, n_max + 1):
+        a, b = rows[n - 1], rows[n - 2]
+        rows.append([0] + [m * a[m] + (n - 1) * b[m - 1] for m in range(1, m_max + 1)])
+    return rows
 
 
 def count_nonsingleton(n: int, m: int) -> int:
-    """Partitions of n elements into exactly m blocks, each of size >= 2.
-
-    Evaluated via the alternating binomial-Stirling sum over s = n-m .. n.
-    """
-    return sum(
-        comb(n, s) * (-1) ** (n - s) * stirling2(s, s + m - n)
-        for s in range(max(n - m, 0), n + 1)
-    )
+    """Partitions of n elements into exactly m blocks, each of size >= 2."""
+    if n < 0 or m < 0 or 2 * m > n:
+        return 0
+    return _nonsingleton_rows(n, m)[n][m]
 
 
 def raney(p: int, r: int, k: int) -> int:
@@ -64,56 +75,49 @@ def catalan(k: int) -> int:
     return raney(2, 1, k)
 
 
-_p_memo: dict[tuple[int, int, int], int] = {}
-
-
-def l_delta(delta: int, gamma: int, n: int, i: int) -> int:
-    """Sum over compositions of n into i positive parts of the product of
-    per-part cover counts.  Zero when n < i (no such composition)."""
-    if n < i or n <= 0:
-        return 0
-    total = 0
-    for parts in compositions(n, i):
-        product = 1
-        for k in parts:
-            product *= p_count(delta, gamma, k)
-        total += product
-    return total
-
-
-def p_count(delta: int, gamma: int, n: int) -> int:
-    """Number of sweep-covers of size n on the infinite (delta, gamma) tree.
-
-    Base case n = 1 is gamma + 1.  For n >= 2 the count splits by the
-    number of singleton blocks l in the child-set partition: the l-sum is
-    empty for delta = 2, and the l = delta and all-non-singleton cases are
-    the two trailing terms.
-    """
+def _check_params(delta: int, gamma: int, n: int) -> None:
     if delta < 2 or gamma < 0 or n < 1:
         raise InvalidParamsError(f"bad parameters delta={delta}, gamma={gamma}, n={n}")
-    key = (delta, gamma, n)
-    if key in _p_memo:
-        return _p_memo[key]
-    if n == 1:
-        value = gamma + 1
-    else:
-        value = 0
-        for l in range(1, delta - 1):
-            inner = 0
-            for r in range(1, delta - l + 1):
-                inner += l_delta(delta, gamma, n - r, l) * count_nonsingleton(delta - l, r)
-            value += comb(delta, l) * inner
-        value += l_delta(delta, gamma, n, delta)
-        value += count_nonsingleton(delta, n)
-    _p_memo[key] = value
-    return value
 
 
 def series_coefficients(delta: int, gamma: int, n_max: int) -> list[int]:
-    """Coefficients [P(1), ..., P(n_max)] of the counting generating function."""
+    """Coefficients [P(1), ..., P(n_max)] of the counting generating function.
+
+    P solves P = gamma*x + sum_{l=0..delta} C(delta, l) * Q_{delta-l}(x) * P^l,
+    where Q_m(x) = sum_r count_nonsingleton(m, r) * x^r: a star's l singleton
+    children each head a copy of the whole tree, and the other delta - l
+    children split into non-singleton blocks.  As delta >= 2, coefficient n
+    of the right side needs only coefficients of P below n, so the truncated
+    powers P^1..P^delta grow one coefficient at a time.
+    """
     if n_max < 1:
         raise InvalidParamsError(f"n_max must be >= 1, got {n_max}")
-    return [p_count(delta, gamma, n) for n in range(1, n_max + 1)]
+    _check_params(delta, gamma, 1)
+    R = _nonsingleton_rows(delta, delta)
+    # (l, r, coefficient of x^r * P^l on the right side)
+    terms = [
+        (l, r, comb(delta, l) * R[delta - l][r])
+        for l in range(delta + 1)
+        for r in range(delta - l + 1)
+        if R[delta - l][r]
+    ]
+    # powers[l][k] is the coefficient of x^k in P(x)^l
+    powers = [[1] + [0] * n_max] + [[0] * (n_max + 1) for _ in range(delta)]
+    P = powers[1]
+    P[1] = gamma
+    for n in range(1, n_max + 1):
+        for l in range(2, delta + 1):
+            powers[l][n] = sum(map(mul, P[1:n], powers[l - 1][n - 1 : 0 : -1]))
+        P[n] += sum(w * powers[l][n - r] for l, r, w in terms if r <= n)
+    return P[1:]
+
+
+def p_count(delta: int, gamma: int, n: int) -> int:
+    """Number of sweep-covers of size n on the infinite (delta, gamma) tree:
+    the last of ``series_coefficients(delta, gamma, n)``.  n = 1 gives gamma + 1.
+    """
+    _check_params(delta, gamma, n)
+    return series_coefficients(delta, gamma, n)[-1]
 
 
 def p_table(
@@ -126,10 +130,7 @@ def p_table(
         raise InvalidParamsError(
             f"bad ranges delta={delta_range}, n={n_range}, gamma={gamma}"
         )
-    return {
-        d: [p_count(d, gamma, n) for n in range(n_lo, n_hi + 1)]
-        for d in range(d_lo, d_hi + 1)
-    }
+    return {d: series_coefficients(d, gamma, n_hi)[n_lo - 1 :] for d in range(d_lo, d_hi + 1)}
 
 
 # -- identity and bound reports ----------------------------------------
@@ -175,9 +176,9 @@ def raney_bound_report(
     n_lo, n_hi = n_range
     if n_lo < 1 or n_hi < n_lo:
         raise InvalidParamsError(f"bad n range {n_range}")
+    _check_params(delta, gamma, n_lo)
     rows = []
-    for n in range(n_lo, n_hi + 1):
-        p = p_count(delta, gamma, n)
+    for n, p in enumerate(series_coefficients(delta, gamma, n_hi)[n_lo - 1 :], n_lo):
         c = raney(delta, 1, n + 1)
         rows.append(BoundRow(n=n, p_value=p, raney_value=c, inequality_holds=p >= c))
     return rows
@@ -197,9 +198,9 @@ def growth_report(delta: int, gamma: int, n_max: int) -> list[GrowthRow]:
         raise InvalidParamsError(f"n_max must be >= 2, got {n_max}")
     rows = []
     prev: int | None = None
-    for n in range(1, n_max + 1):
-        p = p_count(delta, gamma, n)
+    for n, p in enumerate(series_coefficients(delta, gamma, n_max), 1):
         ratio = Fraction(p, prev) if prev else None
-        rows.append(GrowthRow(n=n, p_value=p, ratio=ratio, nth_root=p ** (1.0 / n)))
+        # exp/log rather than p ** (1/n), which converts p to a float
+        rows.append(GrowthRow(n=n, p_value=p, ratio=ratio, nth_root=exp(log(p) / n)))
         prev = p
     return rows

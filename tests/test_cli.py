@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from sweepcover import cli
 from sweepcover.cli import main
-from sweepcover.counting import p_count
+from sweepcover.counting import growth_report, p_count, series_coefficients
 from sweepcover.cover import canonical_blocks, cover_to_json, max_cover_size
 from sweepcover.enumeration import find_sweep_covers
 from sweepcover.tree import Tree, serialize_tree
@@ -169,6 +170,10 @@ class TestCount:
         code, _, _ = run(capsys, "count", "--delta", "1", "--n", "2")
         assert code == 3
 
+    def test_large_n(self, capsys):
+        code, out, _ = run(capsys, "count", "--delta", "3", "--n", "600")
+        assert (code, out) == (0, f"{series_coefficients(3, 0, 600)[-1]}\n")
+
 
 class TestTable:
     def test_csv_round_trips_exact_integers(self, capsys):
@@ -208,6 +213,34 @@ class TestTable:
         code, _, _ = run(capsys, "table", "--delta-range", "9..2", "--n-max", "3")
         assert code == 3
 
+    # stdout of `table --delta-range 2..9 --n-max 8`, frozen byte for byte
+    PAPER_TABLE_TEXT = """\
+delta\\n              1              2              3              4              5              6              7              8
+      2              1              1              2              5             14             42            132            429
+      3              1              3             10             39            174            846           4332          22959
+      4              1              7             34            221           1614          12394          99556         827045
+      5              1             15            100           1035          11376         132930        1630860       20606355
+      6              1             31            276           4511          70986        1232752       22295588      415630689
+      7              1             63            742          19215         418698       10810254      281669004     7653274335
+      8              1            127           1982          81565        2409926       93612646     3448017644   136772884789
+      9              1            255           5320         347115       13769616      815989410    41827149480  2446230617955
+"""
+    PAPER_TABLE_SHA256 = {
+        "text": "eed90ade7d332f224b0624bb0099c71a0ab954cd7eee6909fd13c9ad25927c5a",
+        "csv": "a30e1be003dd45789fd6ac53f674c757be88918e6dd2f037958ec4a6509f201a",
+        "json": "1b7fe16755cb4ae75b324533ded948dd0848d268df495c0f2da0c94c302d2f9b",
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_paper_table_bytes(self, capsys, fmt):
+        code, out, _ = run(
+            capsys, "table", "--delta-range", "2..9", "--n-max", "8", "--format", fmt
+        )
+        assert code == 0
+        if fmt == "text":
+            assert out == self.PAPER_TABLE_TEXT
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PAPER_TABLE_SHA256[fmt]
+
 
 class TestReports:
     def test_bound_report_columns(self, capsys):
@@ -223,6 +256,15 @@ class TestReports:
         rows = list(csv.reader(io.StringIO(out)))
         assert [r[1] for r in rows[1:]] == ["1", "1", "2", "5", "14"]
         assert [r[2] for r in rows[2:]] == ["1", "2", "2.5", "2.8"]
+
+    def test_growth_report_past_float_range(self, capsys):
+        code, out, _ = run(capsys, "growth-report", "--delta", "3", "--n-max", "400")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 401 and float(rows[-1][3]) > 1
+        for delta in range(2, 10):
+            for r in growth_report(delta, 1, 30):
+                assert r.nth_root == pytest.approx(r.p_value ** (1 / r.n), rel=1e-12)
 
 
 class TestDiscrepancy:

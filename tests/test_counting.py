@@ -9,7 +9,6 @@ from sweepcover.counting import (
     catalan,
     count_nonsingleton,
     growth_report,
-    l_delta,
     p_count,
     p_table,
     raney,
@@ -18,7 +17,8 @@ from sweepcover.counting import (
     series_coefficients,
     stirling2,
 )
-from sweepcover.enumeration import set_partitions
+from sweepcover.enumeration import find_sweep_covers, set_partitions
+from sweepcover.tree import IldSpec, build_ild_truncated
 
 # Paper-reported grid for gamma = 0; exactly printed integers only.
 EXACT_TABLE = {
@@ -39,6 +39,8 @@ class TestStirling:
         assert stirling2(5, 0) == 0
         assert stirling2(3, 1) == 1
         assert stirling2(4, 5) == 0
+        for n, k in [(-1, 0), (-3, -1), (2, -1), (0, 1)]:
+            assert stirling2(n, k) == 0
         for n in range(1, 10):
             assert stirling2(n, n) == 1
 
@@ -54,6 +56,10 @@ class TestStirling:
             for k in range(1, n + 1):
                 assert stirling2(n, k) == k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
+    def test_large_n_closed_form(self):
+        closed = sum((-1) ** j * comb(5, j) * (5 - j) ** 3000 for j in range(6)) // 120
+        assert stirling2(3000, 5) == closed
+
 
 class TestNonsingletonCount:
     def test_small_values(self):
@@ -65,6 +71,24 @@ class TestNonsingletonCount:
         for n in range(10):
             for m in range(n // 2 + 1, 6):
                 assert count_nonsingleton(n, m) == 0
+        assert count_nonsingleton(0, 0) == 1
+        for n, m in [(-1, 0), (-2, -1), (4, -1), (1, 0)]:
+            assert count_nonsingleton(n, m) == 0
+
+    def test_against_enumeration_and_alternating_sum(self):
+        for n in range(1, 9):
+            items = [str(i) for i in range(n)]
+            for m in range(0, n + 1):
+                by_count = sum(
+                    1
+                    for p in set_partitions(items, n)
+                    if len(p) == m and all(len(b) >= 2 for b in p)
+                )
+                alternating = sum(
+                    comb(n, s) * (-1) ** (n - s) * stirling2(s, s + m - n)
+                    for s in range(max(n - m, 0), n + 1)
+                )
+                assert count_nonsingleton(n, m) == by_count == alternating, (n, m)
 
 
 class TestRaney:
@@ -99,19 +123,6 @@ class TestRaney:
         assert issubclass(NonIntegerResultError, ArithmeticError)
 
 
-class TestLDelta:
-    def test_base_products(self):
-        assert l_delta(2, 0, 2, 2) == 1
-        assert l_delta(2, 0, 3, 2) == 2
-
-    def test_zero_cases(self):
-        assert l_delta(2, 0, 1, 2) == 0
-        assert l_delta(5, 3, 0, 4) == 0
-        for i in range(1, 6):
-            for n in range(i):
-                assert l_delta(3, 0, n, i) == 0
-
-
 class TestPCount:
     def test_base_case_is_gamma_plus_one(self):
         assert p_count(5, 3, 1) == 4
@@ -128,17 +139,18 @@ class TestPCount:
         assert p_count(4, 0, 4) == 221
         assert p_count(9, 0, 4) == 347115
 
-    def test_memo_is_value_transparent(self):
-        from sweepcover import counting
+    @pytest.mark.parametrize("delta", [2, 3, 4])
+    def test_matches_search_on_truncated_tree(self, delta):
+        # IldSpec.gamma counts path edges, p_count's gamma counts path nodes;
+        # n + 1 star levels hold every size-n cover of the infinite tree.
+        for gamma in range(3):
+            for n in range(1, (4 if delta == 4 else 5) + 1):
+                tree = build_ild_truncated(IldSpec(delta, gamma, n + 1))
+                assert p_count(delta, gamma + 1, n) == len(find_sweep_covers(tree, n))
 
-        fresh = dict(counting._p_memo)
-        counting._p_memo.clear()
-        try:
-            assert p_count(4, 1, 5) == p_count(4, 1, 5)
-            recomputed = p_count(3, 0, 6)
-        finally:
-            counting._p_memo.update(fresh)
-        assert recomputed == p_count(3, 0, 6) == 846
+    def test_catalan_row_beyond_brute_force(self):
+        assert p_count(2, 0, 1000) == catalan(999)
+        assert series_coefficients(2, 0, 1000) == [catalan(n - 1) for n in range(1, 1001)]
 
     def test_bad_params(self):
         with pytest.raises(InvalidParamsError):
