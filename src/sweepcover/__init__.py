@@ -10,14 +10,12 @@ from .counting import (
     raney_bound_report,
     raney_decomposition_check,
     series_coefficients,
-    stirling2,
 )
 from .cover import (
     CoverReport,
     canonical_blocks,
     canonical_rows,
     cover_from_json,
-    cover_to_json,
     embedding_tree,
     induced_subgraphs,
     make_cover,
@@ -56,7 +54,6 @@ __all__ = [
     "compositions",
     "count_nonsingleton",
     "cover_from_json",
-    "cover_to_json",
     "embedding_tree",
     "find_sweep_covers",
     "growth_report",
@@ -73,7 +70,6 @@ __all__ = [
     "serialize_tree",
     "series_coefficients",
     "set_partitions",
-    "stirling2",
     "swap_children",
     "validate",
 ]

@@ -1,9 +1,9 @@
 """Command-line surface for enumeration, validation, counting, and reports.
 
 Exit codes: 0 success (including empty result sets), 1 oracle mismatch,
-2 input parse failure, 3 parameter validation failure, 4 internal error
-(any other exception, reported as one line on stderr).  All output is
-deterministic; JSON carries big integers as decimal strings.
+2 input parse failure (unreadable, undecodable or malformed files), 3
+parameter validation failure, 4 internal error (any other exception).
+Output is deterministic; JSON carries big integers as decimal strings.
 """
 
 from __future__ import annotations
@@ -56,9 +56,10 @@ def _write(out_path: str | None, text: str) -> None:
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    if not sep:
-        return int(text), int(text)
-    return int(lo), int(hi)
+    try:
+        return (int(lo), int(hi)) if sep else (int(text), int(text))
+    except ValueError as exc:
+        raise InvalidParamsError(str(exc)) from None
 
 
 # -- command implementations -------------------------------------------
@@ -109,12 +110,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_count(args: argparse.Namespace) -> int:
     value = p_count(args.delta, args.gamma, args.n)
     if args.format == "json":
-        text = (
-            json.dumps(
-                {"delta": args.delta, "gamma": args.gamma, "n": args.n, "value": str(value)}
-            )
-            + "\n"
-        )
+        payload = {"delta": args.delta, "gamma": args.gamma, "n": args.n, "value": str(value)}
+        text = json.dumps(payload) + "\n"
     else:
         text = f"{value}\n"
     _write(args.out, text)
@@ -188,7 +185,11 @@ def _cmd_growth_report(args: argparse.Namespace) -> int:
 
 def _cmd_discrepancy(args: argparse.Namespace) -> int:
     star_levels = args.star_levels if args.star_levels is not None else args.n_max + 1
-    tree = build_ild_truncated(IldSpec(args.delta, args.gamma, star_levels))
+    try:
+        spec = IldSpec(args.delta, args.gamma, star_levels)
+    except ValueError as exc:
+        raise InvalidParamsError(str(exc)) from None
+    tree = build_ild_truncated(spec)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n", "recurrence_count", "truncated_brute_force_count"])
@@ -202,7 +203,7 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
 def run_oracle_check(
     max_nodes: int, n_max: int, random_trees: int = 100, seed: int = 20201130
 ) -> tuple[int, list[str]]:
-    """Compare the recursive search with the brute-force reference.
+    """Compare the decomposition search with the brute-force reference.
 
     Covers every rooted-tree isomorphism class up to max_nodes plus
     `random_trees` randomly labeled random trees.  Returns the number of
@@ -316,12 +317,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Exact counts can outgrow the interpreter's int-to-str digit limit
+    # (Python >= 3.10.7); lift it while the command runs.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (TreeError, CoverError, OSError, json.JSONDecodeError) as exc:
+    except (TreeError, CoverError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (InvalidParamsError, InvalidSizeError, ValueError) as exc:
+    except (InvalidParamsError, InvalidSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     except Exception as exc:
@@ -329,6 +335,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # stays reserved for an oracle mismatch.
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

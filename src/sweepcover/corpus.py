@@ -3,45 +3,50 @@
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from collections import Counter
 from itertools import combinations_with_replacement, product
 from typing import Iterator
 
 from .tree import Tree
 
 
-def _unordered_partitions(n: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
+def _unordered_partitions(n: int) -> Iterator[tuple[int, ...]]:
     """Unordered partitions of n into positive parts, non-increasing."""
-    if largest is None:
-        largest = n
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _unordered_partitions(n - first, first):
-            yield (first,) + rest
+    stack: list[tuple[tuple[int, ...], int]] = [((), n)]
+    while stack:
+        prefix, left = stack.pop()
+        if not left:
+            yield prefix
+            continue
+        # Pushed smallest first, so larger first parts come out first.
+        largest = min(left, prefix[-1] if prefix else n)
+        stack.extend((prefix + (first,), left - first) for first in range(1, largest + 1))
 
 
-@lru_cache(maxsize=None)
+def _rooted_tree_table(n_max: int) -> list[tuple[str, ...]]:
+    """``table[s]``: sorted canonical codes of the rooted trees with s nodes.
+
+    Built bottom-up: a tree of s nodes is a root over a multiset of smaller
+    trees whose sizes partition s - 1.
+    """
+    table: list[tuple[str, ...]] = [()]
+    for n in range(1, n_max + 1):
+        codes: set[str] = set()
+        for sizes in _unordered_partitions(n - 1):
+            choice_sets = [
+                list(combinations_with_replacement(table[size], mult))
+                for size, mult in sorted(Counter(sizes).items())
+            ]
+            for pick in product(*choice_sets):
+                kids = sorted(code for grp in pick for code in grp)
+                codes.add("(" + "".join(kids) + ")")
+        table.append(tuple(sorted(codes)))
+    return table
+
+
 def rooted_tree_codes(n: int) -> tuple[str, ...]:
     """Canonical codes of all rooted trees with n nodes, one per isomorphism class."""
-    if n < 1:
-        return ()
-    if n == 1:
-        return ("()",)
-    codes: set[str] = set()
-    for sizes in _unordered_partitions(n - 1):
-        groups: dict[int, int] = {}
-        for s in sizes:
-            groups[s] = groups.get(s, 0) + 1
-        choice_sets = [
-            list(combinations_with_replacement(rooted_tree_codes(size), mult))
-            for size, mult in sorted(groups.items())
-        ]
-        for pick in product(*choice_sets):
-            kids = sorted(code for grp in pick for code in grp)
-            codes.add("(" + "".join(kids) + ")")
-    return tuple(sorted(codes))
+    return _rooted_tree_table(n)[n] if n >= 1 else ()
 
 
 def tree_from_code(code: str, prefix: str = "n") -> Tree:
@@ -67,8 +72,8 @@ def tree_from_code(code: str, prefix: str = "n") -> Tree:
 
 def all_rooted_trees(max_nodes: int) -> Iterator[Tree]:
     """One representative tree per rooted isomorphism class, sizes 1..max_nodes."""
-    for n in range(1, max_nodes + 1):
-        for code in rooted_tree_codes(n):
+    for codes in _rooted_tree_table(max_nodes)[1:]:
+        for code in codes:
             yield tree_from_code(code)
 
 

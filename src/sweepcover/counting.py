@@ -15,8 +15,6 @@ from fractions import Fraction
 from math import comb, exp, log
 from operator import mul
 
-from .enumeration import compositions
-
 
 class InvalidParamsError(ValueError):
     pass
@@ -24,22 +22,6 @@ class InvalidParamsError(ValueError):
 
 class NonIntegerResultError(ArithmeticError):
     """The Raney formula division did not come out exact."""
-
-
-def stirling2(n: int, k: int) -> int:
-    """Partitions of n elements into k non-empty blocks.
-
-    Out-of-range arguments (negative k, k > n) give 0 so that callers can
-    apply summation formulas without boundary special-casing.
-    """
-    if n < 0 or k < 0 or k > n:
-        return 0
-    row = [1] + [0] * k
-    for i in range(1, n + 1):
-        for j in range(min(i, k), 0, -1):
-            row[j] = j * row[j] + row[j - 1]
-        row[0] = 0
-    return row[k]
 
 
 def _nonsingleton_rows(n_max: int, m_max: int) -> list[list[int]]:
@@ -140,20 +122,18 @@ def raney_decomposition_check(p: int, r: int, k: int) -> bool:
     """Evaluate both sides of the Raney root-decomposition identity.
 
     RHS: sum over l = 1..r of binom(r, l) times, over compositions of k-1
-    into l parts, the product of C_{p,1}(part+1).  Returns the computed
-    verdict; nothing is assumed.
+    into l parts, the product of C_{p,1}(part+1), taken as coefficient k-1
+    of A(x)^l for A(x) = sum_{h>=1} C_{p,1}(h+1) * x^h truncated at degree
+    k-1.  Returns the computed verdict; nothing is assumed.
     """
     if p < 1 or r < 1 or k < 1:
         raise InvalidParamsError(f"bad parameters p={p}, r={r}, k={k}")
+    a = [0] + [raney(p, 1, h + 1) for h in range(1, k)]
+    power = [1] + [0] * (k - 1)  # A(x)^0
     rhs = 0
     for l in range(1, r + 1):
-        partial = 0
-        for parts in compositions(k - 1, l):
-            product = 1
-            for h in parts:
-                product *= raney(p, 1, h + 1)
-            partial += product
-        rhs += comb(r, l) * partial
+        power = [sum(map(mul, power[:d], a[d:0:-1])) for d in range(k)]
+        rhs += comb(r, l) * power[k - 1]
     return rhs == raney(p, r, k)
 
 

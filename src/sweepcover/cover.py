@@ -15,9 +15,6 @@ from .tree import Tree
 Block = frozenset
 Cover = frozenset
 
-#: Condition identifiers, in report order.
-CONDITIONS = ("disjoint", "siblings", "coverage", "no-ancestry")
-
 
 class CoverError(Exception):
     """Base class for cover operation failures."""
@@ -86,14 +83,14 @@ def canonical_rows(covers: Iterable[Cover]) -> list[tuple[tuple[tuple[str, ...],
     ]
 
 
-def cover_to_json(cover: Cover) -> str:
-    """Serialize as a JSON array of arrays of labels, canonical ordering."""
-    return canonical_rows([cover])[0][1]
-
-
 def cover_from_json(text: str) -> Cover:
-    data = json.loads(text)
-    if not isinstance(data, list) or not all(isinstance(b, list) for b in data):
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise CoverError("cover JSON is nested too deeply") from None
+    if not isinstance(data, list) or not all(
+        isinstance(b, list) and all(isinstance(v, str) for v in b) for b in data
+    ):
         raise CoverError("expected a JSON array of arrays of node labels")
     return make_cover(data)
 

@@ -24,17 +24,10 @@ class InvalidSizeError(ValueError):
 def compositions(k: int, n: int) -> Iterator[tuple[int, ...]]:
     """All ordered lists of n positive integers summing to k, lexicographic.
 
-    Empty when k < n.
+    Empty when k < n or n < 1.
     """
-    if k < 0 or n < 1:
-        return
-    if n == 1:
-        if k >= 1:
-            yield (k,)
-        return
-    for first in range(1, k - n + 2):
-        for rest in compositions(k - first, n - 1):
-            yield (first,) + rest
+    if 1 <= n <= k:
+        yield from _capped_compositions(k, [k] * n)
 
 
 def set_partitions(
@@ -85,26 +78,33 @@ def nonsingleton_partitions(
 def _capped_compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Compositions of `total` with 1 <= part i <= caps[i], lexicographic.
 
-    Each part stays within what the later parts can still make up, so every
-    prefix extends to a composition and none is thrown away.  With no caps,
-    the empty composition is yielded when `total` is 0.
+    An odometer over one list of parts: each step raises the rightmost part
+    that can still grow by one and refills the parts after it with their
+    smallest values, each no smaller than what the later caps cannot make
+    up.  Nothing is thrown away, and memory stays O(len(caps)).  With no
+    caps, the empty composition is yielded when `total` is 0.
     """
-    if not len(caps) <= total <= sum(caps):
+    n = len(caps)
+    if not n <= total <= sum(caps):
         return
-    if len(caps) < 2:  # no part, or one part taking the whole total
-        yield (total,) * len(caps)
-        return
-    last = len(caps) - 1  # the last part takes whatever is left
     room = list(itertools.accumulate(reversed(caps), initial=0))[::-1]  # sum(caps[i:])
-    stack = [((), total)]
-    while stack:
-        prefix, left = stack.pop()
-        i = len(prefix)
-        if i == last:
-            yield prefix + (left,)
-            continue
-        lo, hi = max(1, left - room[i + 1]), min(caps[i], left - (last - i))
-        stack.extend((prefix + (k,), left - k) for k in range(hi, lo - 1, -1))
+    parts = [0] * n
+    i, left = 0, total  # parts[i:] are refilled to sum to left
+    while True:
+        for j in range(i, n):
+            parts[j] = max(1, left - room[j + 1])
+            left -= parts[j]
+        yield tuple(parts)
+        # left is sum(parts[i + 1:]); part i can grow if a later part can shrink.
+        i = n - 1
+        while i >= 0 and (parts[i] == caps[i] or left == n - 1 - i):
+            left += parts[i]
+            i -= 1
+        if i < 0:
+            return
+        parts[i] += 1
+        left -= 1
+        i += 1
 
 
 def find_sweep_covers(tree: Tree, n: int) -> set[Cover]:
@@ -179,7 +179,7 @@ def _search(tree: Tree, sizes: Sequence[int]) -> dict[int, set[Cover]]:
 
 
 def brute_force_covers(tree: Tree, n: int) -> set[Cover]:
-    """Exhaustive reference enumeration, independent of the recursive search.
+    """Exhaustive reference enumeration, independent of the decomposition search.
 
     Candidate blocks are the root singleton and every non-empty subset of
     some node's children (condition 2 makes other blocks impossible).

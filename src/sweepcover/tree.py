@@ -143,23 +143,12 @@ class Tree:
     def out_degree(self, v: str) -> int:
         return len(self.children_of(v))
 
-    def is_leaf(self, v: str) -> bool:
-        return self.out_degree(v) == 0
-
     def leaves(self) -> tuple[str, ...]:
         return tuple(sorted(v for v in self.preorder if not self._children.get(v)))
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         """All edges, parents in sorted order, children in stored order."""
-        out = []
-        for p in sorted(self._children):
-            for c in self._children[p]:
-                out.append((p, c))
-        return tuple(out)
-
-    def depth(self, v: str) -> int:
-        """Number of edges on the unique root-to-v path; depth(root) == 0."""
-        return len(self.ancestors_of(v))
+        return tuple((p, c) for p in sorted(self._children) for c in self._children[p])
 
     # -- structural queries --------------------------------------------
 
@@ -187,11 +176,6 @@ class Tree:
             v = p
         return out
 
-    def descendants_of(self, v: str) -> set[str]:
-        """Proper descendants of v."""
-        start, end = self.span(v)
-        return set(self.preorder[start + 1 : end])
-
     def relatives(self, vs: Iterable[str]) -> tuple[set[str], set[str]]:
         """(proper ancestors, proper descendants) of any member of vs.
 
@@ -211,11 +195,6 @@ class Tree:
                 descendants.update(self.preorder[start + 1 : end])
                 reach = end
         return ancestors, descendants
-
-    def subtree(self, v: str) -> "Tree":
-        """The subtree rooted at v, with original labels."""
-        start, end = self.span(v)
-        return Tree(v, {u: self.children_of(u) for u in self.preorder[start:end]})
 
     def restrict(self, keep: Iterable[str]) -> "Tree":
         """The tree on the nodes in `keep`, rooted at the original root.
@@ -257,11 +236,7 @@ def parse_tree(text: str) -> Tree:
 
 def serialize_tree(tree: Tree) -> str:
     """One "parent child" line per edge, parents and children both sorted."""
-    lines = []
-    for p in sorted(tree.nodes):
-        for c in sorted(tree.children_of(p)):
-            lines.append(f"{p} {c}")
-    return "\n".join(lines) + "\n" if lines else ""
+    return "".join(f"{p} {c}\n" for p in sorted(tree.nodes) for c in sorted(tree.children_of(p)))
 
 
 # -- truncated ILD trees -----------------------------------------------

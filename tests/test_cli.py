@@ -4,15 +4,16 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from sweepcover import cli
 from sweepcover.cli import main
 from sweepcover.counting import growth_report, p_count, series_coefficients
-from sweepcover.cover import canonical_blocks, cover_to_json, max_cover_size
+from sweepcover.cover import canonical_blocks, canonical_rows, max_cover_size
 from sweepcover.enumeration import find_sweep_covers
 from sweepcover.tree import Tree, serialize_tree
 
@@ -58,6 +59,13 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--tree", str(bad), "--n", "1")
         assert code == 2
         assert "error" in err
+
+    def test_invalid_utf8_tree_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.tree"
+        bad.write_bytes(b"r a\nr \xff\n")
+        code, out, err = run(capsys, "enumerate", "--tree", str(bad), "--n", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
 
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run(capsys, "enumerate", "--tree", "/no/such/file", "--n", "1")
@@ -125,7 +133,8 @@ def test_enumerate_output_matches_definition(tree):
         for n in range(1, max_cover_size(tree) + 1):
             covers = find_sweep_covers(tree, n)
             for c in covers:
-                assert cover_to_json(c) == json.dumps([list(b) for b in canonical_blocks(c)])
+                want = json.dumps([list(b) for b in canonical_blocks(c)])
+                assert canonical_rows([c])[0][1] == want
             for fmt in ("text", "json", "csv"):
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
@@ -153,6 +162,66 @@ class TestValidate:
         assert payload["valid"] is False
         assert payload["violations"] == ["no-ancestry"]
 
+    @pytest.mark.parametrize(
+        "text", ['[["a", 1]]', '[[["a"]]]', "[" * 100_000], ids=["int", "list", "deep"]
+    )
+    def test_malformed_cover_exits_2(self, capsys, star_file, tmp_path, text):
+        cov = tmp_path / "cover.json"
+        cov.write_text(text)
+        code, out, err = run(capsys, "validate", "--tree", star_file, "--cover", str(cov))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert "internal error" not in err
+
+
+TREE_LABELS = ["r", "a", "b", "c", "é"]
+LABELS = st.sampled_from(TREE_LABELS + ["#", "a b", ""])
+BLOCKS = st.lists(st.sampled_from(TREE_LABELS), min_size=1, max_size=3)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | LABELS | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner),
+    max_leaves=8,
+)
+
+
+def edge_list(edges):
+    return "".join(f"{p} {c}\n" for p, c in edges)
+
+
+def attachment_tree(picks):
+    """Edge list of a tree on TREE_LABELS: node i hangs under node picks[i - 1] % i."""
+    return edge_list((TREE_LABELS[p % i], TREE_LABELS[i]) for i, p in enumerate(picks, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tree_doc=st.one_of(
+        st.text(),
+        st.binary(),
+        st.lists(st.tuples(LABELS, LABELS), max_size=6).map(edge_list),
+        st.lists(st.integers(0, 3), min_size=4, max_size=4).map(attachment_tree),
+    ),
+    cover_doc=st.one_of(
+        st.text(),
+        st.lists(BLOCKS, max_size=3).map(json.dumps),
+        st.lists(st.lists(JSON, max_size=3), max_size=3).map(json.dumps),
+        JSON.map(json.dumps),
+    ),
+)
+def test_validate_never_fails_internally(tree_doc, cover_doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        tree_path, cover_path = os.path.join(tmp, "t.tree"), os.path.join(tmp, "c.json")
+        with open(tree_path, "wb") as fh:
+            fh.write(tree_doc if isinstance(tree_doc, bytes) else tree_doc.encode("utf-8"))
+        with open(cover_path, "wb") as fh:
+            fh.write(cover_doc.encode("utf-8"))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", "--tree", tree_path, "--cover", cover_path])
+    event(f"exit {code}")
+    assert code in (0, 2, 3), err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
+
 
 class TestCount:
     def test_text(self, capsys):
@@ -169,6 +238,24 @@ class TestCount:
     def test_invalid_delta_exits_3(self, capsys):
         code, _, _ = run(capsys, "count", "--delta", "1", "--n", "2")
         assert code == 3
+
+    def test_count_past_str_digit_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "p_count", lambda delta, gamma, n: 10**5000)
+        has_limit = hasattr(sys, "set_int_max_str_digits")  # Python >= 3.10.7
+        saved = sys.get_int_max_str_digits() if has_limit else None
+        try:
+            for fmt in ("text", "json"):
+                if has_limit:
+                    sys.set_int_max_str_digits(4300)
+                code, out, _ = run(capsys, "count", "--delta", "3", "--n", "5", "--format", fmt)
+                assert code == 0
+                value = out.strip() if fmt == "text" else json.loads(out)["value"]
+                assert value == "1" + "0" * 5000
+                # main restores the interpreter's digit limit on the way out.
+                assert not has_limit or sys.get_int_max_str_digits() == 4300
+        finally:
+            if has_limit:
+                sys.set_int_max_str_digits(saved)
 
     def test_large_n(self, capsys):
         code, out, _ = run(capsys, "count", "--delta", "3", "--n", "600")
@@ -212,6 +299,11 @@ class TestTable:
     def test_bad_range_exits_3(self, capsys):
         code, _, _ = run(capsys, "table", "--delta-range", "9..2", "--n-max", "3")
         assert code == 3
+
+    def test_non_integer_range_exits_3(self, capsys):
+        code, out, err = run(capsys, "table", "--delta-range", "x..3", "--n-max", "3")
+        assert (code, out) == (3, "")
+        assert err == "error: invalid literal for int() with base 10: 'x'\n"
 
     # stdout of `table --delta-range 2..9 --n-max 8`, frozen byte for byte
     PAPER_TABLE_TEXT = """\
@@ -279,6 +371,13 @@ class TestDiscrepancy:
         assert [r[1] for r in rows[1:]] == ["1", "1"]
         # brute-force column comes from the actual truncation run
         assert all(int(r[2]) >= 1 for r in rows[1:])
+
+    def test_zero_star_levels_exits_3(self, capsys):
+        code, out, err = run(
+            capsys, "discrepancy", "--delta", "2", "--n-max", "2", "--star-levels", "0"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: star_levels must be >= 1, got 0\n"
 
 
 class TestOracleCheck:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -15,7 +15,6 @@ from sweepcover.counting import (
     raney_bound_report,
     raney_decomposition_check,
     series_coefficients,
-    stirling2,
 )
 from sweepcover.enumeration import find_sweep_covers, set_partitions
 from sweepcover.tree import IldSpec, build_ild_truncated
@@ -33,32 +32,9 @@ EXACT_TABLE = {
 }
 
 
-class TestStirling:
-    def test_diagonal_and_edges(self):
-        assert stirling2(0, 0) == 1
-        assert stirling2(5, 0) == 0
-        assert stirling2(3, 1) == 1
-        assert stirling2(4, 5) == 0
-        for n, k in [(-1, 0), (-3, -1), (2, -1), (0, 1)]:
-            assert stirling2(n, k) == 0
-        for n in range(1, 10):
-            assert stirling2(n, n) == 1
-
-    def test_against_enumeration(self):
-        for n in range(1, 9):
-            items = [str(i) for i in range(n)]
-            for k in range(1, n + 1):
-                by_count = sum(1 for p in set_partitions(items, n) if len(p) == k)
-                assert stirling2(n, k) == by_count
-
-    def test_recurrence(self):
-        for n in range(1, 21):
-            for k in range(1, n + 1):
-                assert stirling2(n, k) == k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
-
-    def test_large_n_closed_form(self):
-        closed = sum((-1) ** j * comb(5, j) * (5 - j) ** 3000 for j in range(6)) // 120
-        assert stirling2(3000, 5) == closed
+def stirling2(s, j):
+    """Stirling numbers of the second kind, from sum_i (-1)^i C(j,i) (j-i)^s / j!."""
+    return sum((-1) ** i * comb(j, i) * (j - i) ** s for i in range(j + 1)) // factorial(j)
 
 
 class TestNonsingletonCount:
@@ -185,6 +161,18 @@ def test_raney_decomposition_identity():
     for p in range(2, 5):
         for k in range(2, 8):
             assert raney_decomposition_check(p, 1, k) is True, (p, k)
+
+
+def test_raney_decomposition_closed_form():
+    # 1 + A(x) = (B(x) - 1) / x = B(x)^p for B = 1 + x*B^p, so the RHS is
+    # [x^(k-1)] B^(p*r) = C_{p,p*r}(k-1); at k = 1 every term is 0.  k runs
+    # far past what walking the compositions could reach.
+    for p in range(1, 6):
+        for r in range(1, 7):
+            assert raney_decomposition_check(p, r, 1) is False
+            for k in range(2, 41):
+                want = raney(p, p * r, k - 1) == raney(p, r, k)
+                assert raney_decomposition_check(p, r, k) is want, (p, r, k)
 
 
 def test_raney_bound_report_is_self_consistent():

@@ -1,3 +1,4 @@
+import itertools
 from math import comb
 
 import pytest
@@ -16,7 +17,7 @@ from sweepcover.enumeration import (
     nonsingleton_partitions,
     set_partitions,
 )
-from sweepcover.tree import IldSpec, Tree, build_ild_truncated, parse_tree
+from sweepcover.tree import IldSpec, Tree, build_ild_truncated, canonical_code, parse_tree
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -27,6 +28,12 @@ class TestCompositions:
 
     def test_too_many_parts(self):
         assert list(compositions(2, 3)) == []
+        assert list(compositions(0, 0)) == list(compositions(3, 0)) == []
+        assert list(compositions(-1, 1)) == list(compositions(0, 1)) == []
+
+    def test_many_parts(self):
+        # No recursion and no stored prefixes: 1,100 parts cost one list.
+        assert next(compositions(1200, 1100)) == (1,) * 1099 + (101,)
 
     def test_five_into_three(self):
         got = list(compositions(5, 3))
@@ -36,13 +43,18 @@ class TestCompositions:
     def test_capped_is_filtered_compositions(self):
         for caps in [(1,), (3,), (1, 4), (2, 1, 3), (5, 1, 1, 2)]:
             for k in range(0, sum(caps) + 2):
-                want = [c for c in compositions(k, len(caps)) if all(p <= cap for p, cap in zip(c, caps))]
-                assert list(_capped_compositions(k, caps)) == want, (caps, k)
+                boxes = itertools.product(*(range(1, cap + 1) for cap in caps))
+                want = [c for c in boxes if sum(c) == k]
+                capped = [
+                    c for c in compositions(k, len(caps)) if all(p <= q for p, q in zip(c, caps))
+                ]
+                assert list(_capped_compositions(k, caps)) == capped == want, (caps, k)
 
     def test_lexicographic_and_counts(self):
         for k in range(1, 13):
             for n in range(1, k + 1):
                 got = list(compositions(k, n))
+                assert all(sum(c) == k and len(c) == n and min(c) >= 1 for c in got)
                 assert got == sorted(got)
                 assert len(got) == comb(k - 1, n - 1)
                 assert len(set(got)) == len(got)
@@ -190,7 +202,7 @@ class TestBruteForce:
             assert brute_force_covers(t, max_cover_size(t) + 1) == set()
 
     def test_single_node_tree(self):
-        t = parse_tree("r a").subtree("a")
+        t = Tree("a", {})
         assert all_sweep_covers(t) == {1: {make_cover([["a"]])}}
 
 
@@ -204,10 +216,11 @@ def test_rooted_tree_class_counts():
     # number of rooted-tree isomorphism classes for n = 1..8 nodes
     expected = [1, 1, 2, 4, 9, 20, 48, 115]
     assert [len(rooted_tree_codes(n)) for n in range(1, 9)] == expected
+    assert rooted_tree_codes(0) == rooted_tree_codes(-1) == ()
+    by_size = [c for n in range(1, 9) for c in rooted_tree_codes(n)]
+    assert [canonical_code(t) for t in all_rooted_trees(8)] == by_size
 
 
 def test_tree_from_code_round_trip():
-    from sweepcover.tree import canonical_code
-
     for code in rooted_tree_codes(6):
         assert canonical_code(tree_from_code(code)) == code

@@ -34,7 +34,7 @@ class TestParse:
     def test_chain(self):
         t = parse_tree("a b\nb c")
         assert t.root == "a"
-        assert t.depth("c") == 2
+        assert len(t.ancestors_of("c")) == 2
 
     def test_comments_and_blanks(self):
         t = parse_tree("# a tree\nr a  # edge\n\nr b\n")
@@ -89,12 +89,12 @@ class TestParse:
 class TestQueries:
     def test_depth_root_is_zero(self):
         t = parse_tree("r a\nr b")
-        assert t.depth("r") == 0
-        assert t.depth("b") == 1
+        assert len(t.ancestors_of("r")) == 0
+        assert len(t.ancestors_of("b")) == 1
 
     def test_depth_unknown_node(self):
         with pytest.raises(UnknownNodeError):
-            parse_tree("r a").depth("z")
+            parse_tree("r a").ancestors_of("z")
 
     def test_linear_path_on_chain(self):
         t = chain("a", "b", "c")
@@ -129,16 +129,16 @@ class TestQueries:
 
     def test_subtree(self):
         t = parse_tree("r a\nr b\na c\na d")
-        sub = t.subtree("a")
-        assert sub.root == "a"
-        assert sub.nodes == {"a", "c", "d"}
+        start, end = t.span("a")
+        assert t.preorder[start] == "a"
+        assert set(t.preorder[start:end]) == {"a", "c", "d"}
 
     def test_depth_parent_invariant(self):
         t = parse_tree("r a\nr b\na c\nc d")
         for v in t.nodes:
             p = t.parent_of(v)
             if p is not None:
-                assert t.depth(p) + 1 == t.depth(v)
+                assert len(t.ancestors_of(p)) + 1 == len(t.ancestors_of(v))
 
 
 class TestIld:
@@ -160,7 +160,7 @@ class TestIld:
         t = build_ild_truncated(IldSpec(delta=2, gamma=2, star_levels=2))
         # root path: gamma edges to the first star, then per child again.
         star = t.lowest_known_descendant(t.root)
-        assert t.depth(star) == 2
+        assert len(t.ancestors_of(star)) == 2
         for c in t.children_of(star):
             assert len(t.linear_path_from(c)) == 3
 
@@ -194,6 +194,23 @@ class TestCanonicalCode:
         assert canonical_code(tree_from_code(code)) == code
 
 
+EDGE_LISTS = st.lists(
+    st.tuples(st.sampled_from(["r", "a", "b", "c", "#"]), st.sampled_from(["a", "b", "c", "r"])),
+    max_size=6,
+).map(lambda edges: "".join(f"{p} {c}\n" for p, c in edges))
+
+
+@given(st.one_of(st.text(), EDGE_LISTS))
+def test_parse_tree_returns_tree_or_raises_tree_error(text):
+    try:
+        tree = parse_tree(text)
+    except TreeError:
+        return
+    assert isinstance(tree, Tree)
+    again = parse_tree(serialize_tree(tree))
+    assert (again.root, set(again.edges())) == (tree.root, set(tree.edges()))
+
+
 @given(st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=15))
 def test_random_attachment_tree_invariants(parent_picks):
     children = {}
@@ -208,7 +225,7 @@ def test_random_attachment_tree_invariants(parent_picks):
         assert (t.lowest_known_descendant(v) == v) == (t.out_degree(v) != 1)
         start, end = t.span(v)
         assert t.preorder[start] == v
-        assert t.descendants_of(v) == {u for u in t.nodes if v in t.ancestors_of(u)}
+        assert set(t.preorder[start + 1 : end]) == {u for u in t.nodes if v in t.ancestors_of(u)}
         assert {u for u in t.nodes if t.span(u)[0] < start < t.span(u)[1]} == t.ancestors_of(v)
     again = parse_tree(serialize_tree(t))
     assert again.nodes == t.nodes and set(again.edges()) == set(t.edges())
