@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import random
 import sys
@@ -65,6 +66,25 @@ def _parse_range(text: str) -> tuple[int, int]:
 # -- command implementations -------------------------------------------
 
 
+def _enumerate_json(n: int, rows: list[tuple[tuple[tuple[str, ...], ...], str]]) -> str:
+    """`json.dumps({"n": ..., "count": ..., "covers": ...}, indent=2) + "\\n"`, byte for byte.
+
+    The indenting encoder is pure Python and encodes every label of every
+    cover; here each distinct block is laid out once, and a cover is one
+    join of those texts.
+    """
+    distinct = set(itertools.chain.from_iterable(blocks for blocks, _ in rows))
+    laid_out = {
+        b: "      [\n" + ",\n".join("        " + json.dumps(v) for v in b) + "\n      ]"
+        for b in distinct
+    }
+    covers = ",\n".join(
+        "    [\n" + ",\n".join(map(laid_out.__getitem__, blocks)) + "\n    ]" for blocks, _ in rows
+    )
+    body = "[\n" + covers + "\n  ]" if rows else "[]"
+    return f'{{\n  "n": {n},\n  "count": {len(rows)},\n  "covers": {body}\n}}\n'
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.n < 1:
         print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
@@ -72,8 +92,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     tree = _read_tree(args.tree)
     rows = canonical_rows(find_sweep_covers(tree, args.n))
     if args.format == "json":
-        covers = [blocks for blocks, _ in rows]
-        text = json.dumps({"n": args.n, "count": len(rows), "covers": covers}, indent=2) + "\n"
+        text = _enumerate_json(args.n, rows)
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)

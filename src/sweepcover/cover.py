@@ -6,6 +6,7 @@ All operations are pure functions of immutable inputs.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -42,13 +43,10 @@ class BadSelectionError(CoverError):
 
 def make_cover(blocks: Iterable[Iterable[str]]) -> Cover:
     """Normalize an iterable of node groups into a cover value."""
-    out = []
-    for b in blocks:
-        fs = frozenset(b)
-        if not fs:
-            raise CoverError("cover blocks must be non-empty")
-        out.append(fs)
-    return frozenset(out)
+    cover = frozenset(map(frozenset, blocks))
+    if frozenset() in cover:
+        raise CoverError("cover blocks must be non-empty")
+    return cover
 
 
 def cover_nodes(cover: Cover) -> frozenset[str]:
@@ -88,11 +86,14 @@ def cover_from_json(text: str) -> Cover:
         data = json.loads(text)
     except RecursionError:
         raise CoverError("cover JSON is nested too deeply") from None
-    if not isinstance(data, list) or not all(
-        isinstance(b, list) and all(isinstance(v, str) for v in b) for b in data
+    # Each check is one C-level sweep; no Python code runs per block or label.
+    if (
+        isinstance(data, list)
+        and all(map(isinstance, data, itertools.repeat(list)))
+        and all(map(isinstance, itertools.chain.from_iterable(data), itertools.repeat(str)))
     ):
-        raise CoverError("expected a JSON array of arrays of node labels")
-    return make_cover(data)
+        return make_cover(data)
+    raise CoverError("expected a JSON array of arrays of node labels")
 
 
 @dataclass(frozen=True)
@@ -107,10 +108,15 @@ class CoverReport:
 def validate(tree: Tree, cover: Cover) -> CoverReport:
     """Check all four sweep-cover conditions, reporting every violated one.
 
-    Costs O(N + m log m) for N tree nodes and m cover members.  A member
-    that is not a tree node raises `UnknownNodeError` from the tree.
+    Costs O(m log m) for a cover with m members, on top of building the
+    tree; only a cover that leaves a node uncovered pays O(N) more, for N
+    tree nodes, to name that node.  A member that is not a tree node raises
+    `UnknownNodeError` from the tree.
     """
     members = cover_nodes(cover)
+    if not members <= tree.nodes:
+        # The first unknown member in canonical order raises.
+        tree.span(next(v for b in canonical_blocks(cover) for v in b if v not in tree))
     violations: list[str] = []
     witness: tuple[str, ...] | None = None
 
@@ -120,41 +126,43 @@ def validate(tree: Tree, cover: Cover) -> CoverReport:
         if witness is None:
             witness = wit
 
-    # 1: distinct blocks are pairwise disjoint.
-    blocks = canonical_blocks(cover)
-    seen: dict[str, tuple[str, ...]] = {}
-    for b in blocks:
-        for v in b:
-            if v in seen and seen[v] != b:
-                flag("disjoint", (v,))
+    # 1: distinct blocks are pairwise disjoint, so their sizes add up to
+    # the number of members.
+    if sum(map(len, cover)) != len(members):
+        seen: set[str] = set()
+        for b in canonical_blocks(cover):
+            if not seen.isdisjoint(b):
+                flag("disjoint", (min(seen.intersection(b)),))
                 break
-            seen[v] = b
-        if "disjoint" in violations:
-            break
+            seen.update(b)
 
     # 2: each block contains only siblings.
-    for b in blocks:
-        parents = {tree.parent_of(v) for v in b}
-        if len(parents) > 1:
-            flag("siblings", b)
-            break
+    mixed = [b for b in cover if len(b) > 1 and len(set(map(tree.parent_of, b))) > 1]
+    if mixed:
+        flag("siblings", min(tuple(sorted(b)) for b in mixed))
 
-    # 3: blocks plus all their ancestors and descendants exhaust the nodes.
-    ancestors, descendants = tree.relatives(members)
-    uncovered = tree.nodes - members - ancestors - descendants
-    if uncovered:
-        flag("coverage", (min(uncovered),))
-
-    # 4: no two cover nodes are in an ancestor-descendant relation.  Taken
-    # in pre-order, a member lies below an earlier one iff it starts before
-    # the end of the last member that did not.
+    # Taken in pre-order, a member lies below an earlier one iff it starts
+    # before the end of the last member that did not; those outermost
+    # members hold every member's leaves.
+    leaves_from = tree.leaves_from
     nested = []
-    reach = 0
+    reach = leaves = 0
     for start, end in sorted(map(tree.span, members)):
         if start < reach:
             nested.append(tree.preorder[start])
         else:
             reach = end
+            leaves += leaves_from[start] - leaves_from[end]
+
+    # 3: blocks plus all their ancestors and descendants exhaust the nodes.
+    # A node is covered iff its leaves are, and a leaf iff it lies below a
+    # member, so coverage holds iff the members hold every leaf.
+    if leaves < leaves_from[0]:
+        ancestors, descendants = tree.relatives(members)
+        uncovered = tree.nodes - members - ancestors - descendants
+        flag("coverage", (min(uncovered),))
+
+    # 4: no two cover nodes are in an ancestor-descendant relation.
     if nested:
         v = min(nested)
         flag("no-ancestry", (min(tree.ancestors_of(v) & members), v))
@@ -230,4 +238,4 @@ def embedding_tree(tree: Tree, cover: Cover, selection: Mapping[int, str]) -> Tr
 
 def max_cover_size(tree: Tree) -> int:
     """Largest possible sweep-cover size: the number of leaves."""
-    return len(tree.leaves())
+    return tree.leaf_count(tree.root)

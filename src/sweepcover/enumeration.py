@@ -118,7 +118,8 @@ def find_sweep_covers(tree: Tree, n: int) -> set[Cover]:
 
     Each (subtree root, size) pair is solved once per call, on the original
     tree's labels, and only compositions that give no subtree more than its
-    leaf count (a subtree has no larger cover) are generated, so the cost
+    leaf count (a subtree has no larger cover; `Tree.leaf_count` reads it
+    off the tree's leaf index) are generated, so the cost
     follows the number of distinct subproblems and covers rather than the
     number of decomposition paths.
     """
@@ -135,10 +136,6 @@ def _search(tree: Tree, sizes: Sequence[int]) -> dict[int, set[Cover]]:
     non-singleton blocks and child subproblems of each decomposition; a
     second pass solves the pairs with descendants before ancestors.
     """
-    leaves: dict[str, int] = {}
-    for v in reversed(tree.preorder):
-        leaves[v] = sum(leaves[c] for c in tree.children_of(v)) or 1
-
     # plans[(v, s)]: (non-singleton blocks, ((child, size), ...)) per decomposition.
     plans: dict[tuple[str, int], list[tuple[Cover, tuple[tuple[str, int], ...]]]] = {}
     todo = [(tree.root, s) for s in sizes]
@@ -148,14 +145,14 @@ def _search(tree: Tree, sizes: Sequence[int]) -> dict[int, set[Cover]]:
             continue
         v, s = key
         plan = plans[key] = []
-        if s == 1 or s > leaves[v]:
+        if s == 1 or s > tree.leaf_count(v):
             continue
         child_set = tree.children_of(tree.lowest_known_descendant(v))
         for part in set_partitions(sorted(child_set), min(s, len(child_set))):
             nonsingletons = frozenset(b for b in part if len(b) > 1)
             singles = sorted(next(iter(b)) for b in part if len(b) == 1)
             remaining = s - len(nonsingletons)
-            for parts in _capped_compositions(remaining, [leaves[c] for c in singles]):
+            for parts in _capped_compositions(remaining, list(map(tree.leaf_count, singles))):
                 subproblems = tuple(zip(singles, parts))
                 plan.append((nonsingletons, subproblems))
                 todo.extend(subproblems)

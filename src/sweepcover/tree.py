@@ -10,13 +10,16 @@ gives v's position in it and the end of v's subtree.  The index answers
 every ancestry question without walking the tree: u is a proper ancestor of
 v iff span(u)[0] < span(v)[0] < span(u)[1], v's descendants are a slice of
 `preorder`, and reversing `preorder` visits children before their parents.
+A second, reverse pass also keeps a leaf index: `leaves_from[i]` counts the
+leaves among `preorder[i:]`, so the subtree with span (start, end) holds
+`leaves_from[start] - leaves_from[end]` leaves.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NoReturn
 
 
 class TreeError(Exception):
@@ -59,6 +62,28 @@ def _check_label(label: str) -> None:
         raise TreeError(f"node label contains whitespace or '#': {label!r}")
 
 
+def _raise_first_fault(root: str, child_map: Mapping[str, tuple[str, ...]]) -> NoReturn:
+    """Raise for the first fault met walking the edges in their given order.
+
+    Called only on edges known to hold a bad or non-string label, a
+    repeated child or a root with a parent.
+    """
+    _check_label(root)
+    parent: dict[str, str] = {}
+    for p, kids in child_map.items():
+        _check_label(p)
+        seen: set[str] = set()
+        for c in kids:
+            _check_label(c)
+            if c in seen:
+                raise DuplicateEdgeError(f"duplicate edge {p} -> {c}")
+            seen.add(c)
+            if c in parent:
+                raise MultipleParentsError(f"node {c} has parents {parent[c]} and {p}")
+            parent[c] = p
+    raise CycleError(f"root {root} has a parent")
+
+
 class Tree:
     """Immutable rooted directed tree over string-labeled nodes.
 
@@ -67,27 +92,26 @@ class Tree:
     edges form a single tree rooted at `root`.
     """
 
-    __slots__ = ("root", "nodes", "preorder", "_children", "_parent", "_span")
+    __slots__ = ("root", "nodes", "preorder", "leaves_from", "_children", "_parent", "_span")
 
     def __init__(self, root: str, children: Mapping[str, Iterable[str]]):
-        child_map: dict[str, tuple[str, ...]] = {}
-        parent: dict[str, str] = {}
-        _check_label(root)
-        for p, kids in children.items():
-            _check_label(p)
-            kids = tuple(kids)
-            seen: set[str] = set()
-            for c in kids:
-                _check_label(c)
-                if c in seen:
-                    raise DuplicateEdgeError(f"duplicate edge {p} -> {c}")
-                seen.add(c)
-                if c in parent:
-                    raise MultipleParentsError(f"node {c} has parents {parent[c]} and {p}")
-                parent[c] = p
-            child_map[p] = kids
-        if root in parent:
-            raise CycleError(f"root {root} has a parent")
+        child_map = {p: tuple(kids) for p, kids in children.items()}
+        # One C-level test per kind of fault (labels are searched joined by
+        # "/", which is neither whitespace nor "#"); only a faulty input pays
+        # for the edge walk that names its first fault.
+        try:
+            parent = {c: p for p, kids in child_map.items() for c in kids}
+            nodes = {root, *child_map, *parent}
+            faulty = (
+                len(parent) != sum(map(len, child_map.values()))
+                or root in parent
+                or "" in nodes
+                or _FORBIDDEN_IN_LABEL("/".join(nodes)) is not None
+            )
+        except TypeError:  # a label that is not a string
+            faulty = True
+        if faulty:
+            _raise_first_fault(root, child_map)
         # Pre-order from the root: every node must be reached exactly once.
         order: list[str] = []
         stack = [root]
@@ -96,21 +120,29 @@ class Tree:
             order.append(v)
             if v in child_map:
                 stack.extend(child_map[v][::-1])
-        nodes = {root, *child_map, *parent}
         if len(order) != len(nodes):
             stranded = sorted(nodes.difference(order))
             orphans = [v for v in stranded if v not in parent]
             if orphans:
                 raise MultipleRootsError(f"unreachable parentless nodes: {orphans}")
             raise CycleError(f"nodes not reachable from root: {stranded}")
-        # A subtree ends where the subtree of its last child ends.
+        # A subtree ends where the subtree of its last child ends, and
+        # leaves_from[i] counts the leaves among order[i:].
         span: dict[str, tuple[int, int]] = {}
+        leaves_from = [0] * (len(order) + 1)
         for i in range(len(order) - 1, -1, -1):
-            kids = child_map.get(order[i])
-            span[order[i]] = (i, span[kids[-1]][1] if kids else i + 1)
+            v = order[i]
+            kids = child_map.get(v)
+            if kids:
+                span[v] = (i, span[kids[-1]][1])
+                leaves_from[i] = leaves_from[i + 1]
+            else:
+                span[v] = (i, i + 1)
+                leaves_from[i] = leaves_from[i + 1] + 1
         self.root = root
-        self.nodes = frozenset(order)
+        self.nodes = frozenset(nodes)
         self.preorder = tuple(order)
+        self.leaves_from = tuple(leaves_from)
         self._children = child_map
         self._parent = parent
         self._span = span
@@ -131,6 +163,11 @@ class Tree:
         """(start, end) such that v's subtree is `preorder[start:end]`, v first."""
         self._require(v)
         return self._span[v]
+
+    def leaf_count(self, v: str) -> int:
+        """Number of leaves in v's subtree (1 when v is a leaf)."""
+        start, end = self.span(v)
+        return self.leaves_from[start] - self.leaves_from[end]
 
     def children_of(self, v: str) -> tuple[str, ...]:
         self._require(v)
@@ -219,11 +256,10 @@ def parse_tree(text: str) -> Tree:
     """
     children: dict[str, list[str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+        fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if len(fields) != 2:
+            if not fields:
+                continue
             raise TreeError(f"line {lineno}: expected 'parent child', got {raw!r}")
         children.setdefault(fields[0], []).append(fields[1])
     if not children:

@@ -53,6 +53,15 @@ class TestEnumerate:
         assert payload["count"] == 2
         assert payload["covers"] == [[["a", "b"]], [["r"]]]
 
+    def test_json_empty_result(self, capsys, star_file):
+        # n above the leaf count: no cover, and the same bytes json.dumps gives.
+        code, out, _ = run(
+            capsys, "enumerate", "--tree", star_file, "--n", "3", "--format", "json"
+        )
+        assert code == 0
+        assert out == '{\n  "n": 3,\n  "count": 0,\n  "covers": []\n}\n'
+        assert out == json.dumps({"n": 3, "count": 0, "covers": []}, indent=2) + "\n"
+
     def test_malformed_tree_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.tree"
         bad.write_text("r a\ns a\n")

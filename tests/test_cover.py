@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sweepcover.cover import (
     BadSelectionError,
@@ -25,6 +25,10 @@ from sweepcover.tree import Tree, UnknownNodeError, canonical_code, parse_tree
 
 STAR = parse_tree("r a\nr b")
 FORK = parse_tree("r a\nr b\na c\na d")
+# The least uncovered node is internal ("a" above the leaves "b" and "c").
+UNCOVERED_INNER = (parse_tree("r a\nr z\na b\na c"), make_cover([["z"]]))
+# Nested members that hold every leaf: coverage holds, no-ancestry fails.
+NESTED_COVERING = (parse_tree("r a\nr b\na c"), make_cover([["a"], ["b"], ["c"]]))
 
 
 class TestValidate:
@@ -39,12 +43,14 @@ class TestValidate:
         assert not report.valid
         assert report.violations == ("no-ancestry",)
         assert report.witness == ("r", "a")
+        assert validate(*NESTED_COVERING) == CoverReport(False, ("no-ancestry",), ("a", "c"))
 
     def test_coverage_violation(self):
         tree = parse_tree("r a\nr b\na c")
         report = validate(tree, make_cover([["a"]]))
         assert report.violations == ("coverage",)
         assert report.witness == ("b",)
+        assert validate(*UNCOVERED_INNER) == CoverReport(False, ("coverage",), ("a",))
 
     def test_sibling_violation(self):
         report = validate(FORK, make_cover([["b", "c"]]))
@@ -58,6 +64,11 @@ class TestValidate:
         # coverage holds vacuously for the one-node tree.
         tree = Tree("a", {})
         assert validate(tree, make_cover([["a"]])).valid
+
+    def test_first_unknown_member_in_canonical_order_raises(self):
+        # Blocks in canonical order: ("a", "z"), ("b", "y").
+        with pytest.raises(UnknownNodeError, match="^unknown node 'z'$"):
+            validate(FORK, make_cover([["b", "y"], ["a", "z"]]))
 
     def test_all_violations_reported(self):
         tree = parse_tree("r a\nr b\na c\nb d")
@@ -279,6 +290,8 @@ def trees_with_covers(draw, max_nodes=30):
 
 @settings(max_examples=300, deadline=None)
 @given(trees_with_covers(), st.booleans())
+@example(UNCOVERED_INNER, False)
+@example(NESTED_COVERING, False)
 def test_validate_matches_definitions(case, foreign):
     tree, cover = case
     if foreign:
@@ -286,6 +299,7 @@ def test_validate_matches_definitions(case, foreign):
             validate(tree, cover | {frozenset({"not-a-node"})})
         return
     assert validate(tree, cover) == reference_report(tree, cover)
+
 
 
 def test_deep_caterpillar_all_leaves_cover_is_valid():

@@ -1,7 +1,7 @@
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sweepcover.corpus import tree_from_code
 from sweepcover.tree import (
@@ -78,6 +78,83 @@ class TestParse:
         rest = "".join(ch for ch in every if not ch.isspace() and ch != "#")
         labels = [rest[i : i + 4096] for i in range(0, len(rest), 4096)]
         assert len(Tree("r", {"r": labels})) == len(labels) + 1
+
+    # Documents with several faults report the first one met walking the
+    # edges parent by parent, children in order; a root with a parent and
+    # unreachable nodes are reported only after every edge passes.
+    @pytest.mark.parametrize(
+        "make,error,message",
+        [
+            (
+                lambda: Tree("r", {"r": ["a", "a", "b c"]}),
+                DuplicateEdgeError,
+                "duplicate edge r -> a",
+            ),
+            (
+                lambda: Tree("r", {"r": ["b c", "a", "a"]}),
+                TreeError,
+                "node label contains whitespace or '#': 'b c'",
+            ),
+            (
+                lambda: Tree("r", {"r": ["a", "b"], "b": ["a", "c#"]}),
+                MultipleParentsError,
+                "node a has parents r and b",
+            ),
+            (
+                lambda: Tree("r", {"r": ["a"], "b": ["a", ""]}),
+                MultipleParentsError,
+                "node a has parents r and b",
+            ),
+            (
+                lambda: Tree("r", {"r": ["a"], "a": ["r", "x\ty"]}),
+                TreeError,
+                "node label contains whitespace or '#': 'x\\ty'",
+            ),
+            (
+                lambda: Tree("r", {"r": ["a"], "a": ["r", "b", "b"]}),
+                DuplicateEdgeError,
+                "duplicate edge a -> b",
+            ),
+            (
+                lambda: Tree("r", {"a": ["r"], "b": ["r"]}),
+                MultipleParentsError,
+                "node r has parents a and b",
+            ),
+            (
+                lambda: Tree("r s", {"r s": ["a", "a"]}),
+                TreeError,
+                "node label contains whitespace or '#': 'r s'",
+            ),
+            (lambda: Tree("", {"r": ["a b"]}), TreeError, "empty node label"),
+            (lambda: Tree("r", {"r": ["a", "a", 5]}), DuplicateEdgeError, "duplicate edge r -> a"),
+            (
+                lambda: Tree("r", {"r": ["a"], "x": ["y"], "b": ["c"], "c": ["b"]}),
+                MultipleRootsError,
+                "unreachable parentless nodes: ['x']",
+            ),
+            (
+                lambda: Tree("r", {"r": ["a"], "b": ["c"], "c": ["b"]}),
+                CycleError,
+                "nodes not reachable from root: ['b', 'c']",
+            ),
+            (lambda: parse_tree("r a\ns a\nr a"), DuplicateEdgeError, "duplicate edge r -> a"),
+            (
+                lambda: parse_tree("a b\nb a\nc d"),
+                CycleError,
+                "nodes not reachable from root: ['a', 'b']",
+            ),
+            (
+                lambda: parse_tree("r a\na r\ns a"),
+                MultipleParentsError,
+                "node a has parents r and s",
+            ),
+        ],
+    )
+    def test_first_fault_wins(self, make, error, message):
+        with pytest.raises(TreeError) as info:
+            make()
+        assert type(info.value) is error
+        assert str(info.value) == message
 
     def test_serialize_round_trip(self):
         t = parse_tree("r b\nr a\na c\na d")
@@ -227,5 +304,70 @@ def test_random_attachment_tree_invariants(parent_picks):
         assert t.preorder[start] == v
         assert set(t.preorder[start + 1 : end]) == {u for u in t.nodes if v in t.ancestors_of(u)}
         assert {u for u in t.nodes if t.span(u)[0] < start < t.span(u)[1]} == t.ancestors_of(v)
+        below = t.preorder[start:end]
+        assert t.leaf_count(v) == sum(1 for u in below if not t.children_of(u))
+        assert t.leaves_from[start] - t.leaves_from[end] == t.leaf_count(v)
+    assert t.leaves_from[0] == t.leaf_count(t.root) == len(t.leaves())
+    assert t.leaves_from[len(t)] == 0
     again = parse_tree(serialize_tree(t))
     assert again.nodes == t.nodes and set(again.edges()) == set(t.edges())
+
+
+def first_fault(root, children):
+    """(class name, message) of the fault a Tree build must report, or None.
+
+    Edges are checked one by one in their given order, parent by parent,
+    then the root and reachability, with no whole-input shortcut.
+    """
+
+    def bad_label(label):
+        if not label:
+            return ("TreeError", "empty node label")
+        if any(ch.isspace() or ch == "#" for ch in label):
+            return ("TreeError", f"node label contains whitespace or '#': {label!r}")
+        return None
+
+    if fault := bad_label(root):
+        return fault
+    parent = {}
+    for p, kids in children.items():
+        if fault := bad_label(p):
+            return fault
+        for i, c in enumerate(kids):
+            if fault := bad_label(c):
+                return fault
+            if c in kids[:i]:
+                return ("DuplicateEdgeError", f"duplicate edge {p} -> {c}")
+            if c in parent:
+                return ("MultipleParentsError", f"node {c} has parents {parent[c]} and {p}")
+            parent[c] = p
+    if root in parent:
+        return ("CycleError", f"root {root} has a parent")
+    reached, todo = set(), [root]
+    while todo:
+        reached.add(v := todo.pop())
+        todo.extend(children.get(v, ()))
+    stranded = sorted({root, *children, *parent} - reached)
+    orphans = [v for v in stranded if v not in parent]
+    if orphans:
+        return ("MultipleRootsError", f"unreachable parentless nodes: {orphans}")
+    if stranded:
+        return ("CycleError", f"nodes not reachable from root: {stranded}")
+    return None
+
+
+FAULTY_LABELS = st.sampled_from(["r", "a", "b", "c", "", "a b", "#", "x\ty"])
+
+
+@settings(max_examples=300)
+@given(
+    FAULTY_LABELS,
+    st.dictionaries(FAULTY_LABELS, st.lists(FAULTY_LABELS, max_size=4), max_size=5),
+)
+def test_tree_reports_first_fault(root, children):
+    try:
+        Tree(root, children)
+        got = None
+    except TreeError as exc:
+        got = (type(exc).__name__, str(exc))
+    assert got == first_fault(root, children)
