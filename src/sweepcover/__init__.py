@@ -8,7 +8,6 @@ from .counting import (
     p_table,
     raney,
     raney_bound_report,
-    raney_decomposition_check,
     series_coefficients,
 )
 from .cover import (
@@ -66,7 +65,6 @@ __all__ = [
     "parse_tree",
     "raney",
     "raney_bound_report",
-    "raney_decomposition_check",
     "serialize_tree",
     "series_coefficients",
     "set_partitions",

@@ -1,9 +1,12 @@
 """Command-line surface for enumeration, validation, counting, and reports.
 
-Exit codes: 0 success (including empty result sets), 1 oracle mismatch,
-2 input parse failure (unreadable, undecodable or malformed files), 3
-parameter validation failure, 4 internal error (any other exception).
-Output is deterministic; JSON carries big integers as decimal strings.
+Every command maps its parsed arguments to its output text; `main` alone
+writes that text (to --out or stdout) and picks the exit code: 0 success
+(including empty result sets), 1 oracle or identity mismatch (the output
+is still written), 2 input parse failure (unreadable, undecodable or malformed
+files, or an unwritable --out), 3 parameter validation failure, 4 internal
+error (any other exception).  Output is deterministic; JSON carries big
+integers as decimal strings.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import itertools
 import json
 import random
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .corpus import all_rooted_trees, random_labeled_tree
 from .counting import (
@@ -32,7 +35,7 @@ from .cover import (
     cover_from_json,
     validate,
 )
-from .enumeration import InvalidSizeError, brute_force_covers, find_sweep_covers
+from .enumeration import brute_force_covers, find_sweep_covers
 from .tree import IldSpec, TreeError, build_ild_truncated, canonical_code, parse_tree
 
 EXIT_OK = 0
@@ -47,12 +50,16 @@ def _read_tree(path: str):
         return parse_tree(fh.read())
 
 
-def _write(out_path: str | None, text: str) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+class _Mismatch(Exception):
+    """A checked identity failed; `args[0]` is the output text to write."""
+
+
+def _csv(header: Sequence[object], rows: Iterable[Sequence[object]]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -85,27 +92,17 @@ def _enumerate_json(n: int, rows: list[tuple[tuple[tuple[str, ...], ...], str]])
     return f'{{\n  "n": {n},\n  "count": {len(rows)},\n  "covers": {body}\n}}\n'
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
-        return EXIT_PARAMS
+def _cmd_enumerate(args: argparse.Namespace) -> str:
     tree = _read_tree(args.tree)
     rows = canonical_rows(find_sweep_covers(tree, args.n))
     if args.format == "json":
-        text = _enumerate_json(args.n, rows)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["size", "cover"])
-        writer.writerows([args.n, cover] for _, cover in rows)
-        text = buf.getvalue()
-    else:
-        text = "".join(cover + "\n" for _, cover in rows)
-    _write(args.out, text)
-    return EXIT_OK
+        return _enumerate_json(args.n, rows)
+    if args.format == "csv":
+        return _csv(["size", "cover"], ([args.n, cover] for _, cover in rows))
+    return "".join(cover + "\n" for _, cover in rows)
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> str:
     tree = _read_tree(args.tree)
     with open(args.cover, encoding="utf-8") as fh:
         cover = cover_from_json(fh.read())
@@ -116,57 +113,42 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         "witness": list(report.witness) if report.witness else None,
     }
     if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = f"valid: {report.valid}\n"
-        if report.violations:
-            text += f"violations: {', '.join(report.violations)}\n"
-            text += f"witness: {' '.join(report.witness or ())}\n"
-    _write(args.out, text)
-    return EXIT_OK
+        return json.dumps(payload, indent=2) + "\n"
+    text = f"valid: {report.valid}\n"
+    if report.violations:
+        text += f"violations: {', '.join(report.violations)}\n"
+        text += f"witness: {' '.join(report.witness or ())}\n"
+    return text
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: argparse.Namespace) -> str:
     value = p_count(args.delta, args.gamma, args.n)
     if args.format == "json":
         payload = {"delta": args.delta, "gamma": args.gamma, "n": args.n, "value": str(value)}
-        text = json.dumps(payload) + "\n"
-    else:
-        text = f"{value}\n"
-    _write(args.out, text)
-    return EXIT_OK
+        return json.dumps(payload) + "\n"
+    return f"{value}\n"
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    delta_range = _parse_range(args.delta_range)
-    n_range = (1, args.n_max)
-    table = p_table(delta_range, n_range, args.gamma)
-    ns = list(range(n_range[0], n_range[1] + 1))
+def _cmd_table(args: argparse.Namespace) -> str:
+    table = p_table(_parse_range(args.delta_range), (1, args.n_max), args.gamma)
+    ns = list(range(1, args.n_max + 1))
     if args.format == "json":
         payload = {
             "gamma": args.gamma,
             "n": ns,
             "rows": {str(d): [str(v) for v in row] for d, row in table.items()},
         }
-        text = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["delta"] + [str(n) for n in ns])
-        for d in sorted(table):
-            writer.writerow([d] + [str(v) for v in table[d]])
-        text = buf.getvalue()
-    else:
-        width = max(len(str(v)) for row in table.values() for v in row)
-        lines = ["delta\\n  " + "  ".join(str(n).rjust(width) for n in ns)]
-        for d in sorted(table):
-            lines.append(f"{d:>7}  " + "  ".join(str(v).rjust(width) for v in table[d]))
-        text = "\n".join(lines) + "\n"
-    _write(args.out, text)
-    return EXIT_OK
+        return json.dumps(payload, indent=2) + "\n"
+    if args.format == "csv":
+        return _csv(["delta", *ns], ([d, *table[d]] for d in sorted(table)))
+    width = max(len(str(v)) for row in table.values() for v in row)
+    lines = ["delta\\n  " + "  ".join(str(n).rjust(width) for n in ns)]
+    for d in sorted(table):
+        lines.append(f"{d:>7}  " + "  ".join(str(v).rjust(width) for v in table[d]))
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_bound_report(args: argparse.Namespace) -> int:
+def _cmd_bound_report(args: argparse.Namespace) -> str:
     rows = raney_bound_report(args.delta, args.gamma, (1, args.n_max))
     if args.format == "json":
         payload = [
@@ -178,45 +160,36 @@ def _cmd_bound_report(args: argparse.Namespace) -> int:
             }
             for r in rows
         ]
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "p", "raney", "inequality_holds"])
-        for r in rows:
-            writer.writerow([r.n, r.p_value, r.raney_value, r.inequality_holds])
-        text = buf.getvalue()
-    _write(args.out, text)
-    return EXIT_OK
+        return json.dumps(payload, indent=2) + "\n"
+    return _csv(
+        ["n", "p", "raney", "inequality_holds"],
+        ([r.n, r.p_value, r.raney_value, r.inequality_holds] for r in rows),
+    )
 
 
-def _cmd_growth_report(args: argparse.Namespace) -> int:
-    rows = growth_report(args.delta, args.gamma, args.n_max)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "p", "ratio", "nth_root"])
-    for r in rows:
-        ratio = "" if r.ratio is None else f"{float(r.ratio):.6g}"
-        writer.writerow([r.n, r.p_value, ratio, f"{r.nth_root:.6g}"])
-    _write(args.out, buf.getvalue())
-    return EXIT_OK
+def _cmd_growth_report(args: argparse.Namespace) -> str:
+    rows = [
+        [r.n, r.p_value, "" if r.ratio is None else f"{float(r.ratio):.6g}", f"{r.nth_root:.6g}"]
+        for r in growth_report(args.delta, args.gamma, args.n_max)
+    ]
+    return _csv(["n", "p", "ratio", "nth_root"], rows)
 
 
-def _cmd_discrepancy(args: argparse.Namespace) -> int:
-    star_levels = args.star_levels if args.star_levels is not None else args.n_max + 1
-    try:
-        spec = IldSpec(args.delta, args.gamma, star_levels)
-    except ValueError as exc:
-        raise InvalidParamsError(str(exc)) from None
+def _cmd_discrepancy(args: argparse.Namespace) -> str:
+    """The recurrence beside the search on a finite truncation, row by row.
+
+    The recurrence counts gamma in path nodes and `IldSpec.gamma` in path
+    edges, so the tree with gamma-edge paths is counted by gamma + 1; its
+    n_max + 1 star levels hold every cover of size n_max or less.
+    """
+    spec = IldSpec(args.delta, args.gamma, args.n_max + 1)
+    counts = series_coefficients(args.delta, args.gamma + 1, args.n_max)
     tree = build_ild_truncated(spec)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "recurrence_count", "truncated_brute_force_count"])
-    counts = series_coefficients(args.delta, args.gamma, args.n_max) if args.n_max >= 1 else []
-    for n, recurrence in enumerate(counts, 1):
-        writer.writerow([n, recurrence, len(brute_force_covers(tree, n))])
-    _write(args.out, buf.getvalue())
-    return EXIT_OK
+    rows = [(n, want, len(find_sweep_covers(tree, n))) for n, want in enumerate(counts, 1)]
+    text = _csv(["n", "recurrence_count", "truncated_search_count"], rows)
+    if any(want != got for _, want, got in rows):
+        raise _Mismatch(text)
+    return text
 
 
 def run_oracle_check(
@@ -228,36 +201,31 @@ def run_oracle_check(
     `random_trees` randomly labeled random trees.  Returns the number of
     (tree, size) pairs checked and descriptions of any mismatches.
     """
+    if max_nodes < 1 or n_max < 1:
+        raise InvalidParamsError("--max-nodes and --n-max must be >= 1")
     trees = list(all_rooted_trees(max_nodes))
     rng = random.Random(seed)
     if max_nodes >= 2:
         for _ in range(random_trees):
             trees.append(random_labeled_tree(rng, rng.randint(2, max_nodes)))
-    checked = 0
     mismatches: list[str] = []
     for tree in trees:
         for n in range(1, n_max + 1):
             found = find_sweep_covers(tree, n)
             reference = brute_force_covers(tree, n)
-            checked += 1
             if found != reference:
                 mismatches.append(
                     f"tree {canonical_code(tree)} n={n}: "
                     f"search found {len(found)}, brute force found {len(reference)}"
                 )
-    return checked, mismatches
+    return len(trees) * n_max, mismatches
 
 
-def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    if args.max_nodes < 1 or args.n_max < 1:
-        print("error: --max-nodes and --n-max must be >= 1", file=sys.stderr)
-        return EXIT_PARAMS
+def _cmd_oracle_check(args: argparse.Namespace) -> str:
     checked, mismatches = run_oracle_check(args.max_nodes, args.n_max)
     if mismatches:
-        _write(args.out, f"MISMATCH: {mismatches[0]}\n")
-        return EXIT_MISMATCH
-    _write(args.out, f"all {checked} tree/size pairs match\n")
-    return EXIT_OK
+        raise _Mismatch(f"MISMATCH: {mismatches[0]}\n")
+    return f"all {checked} tree/size pairs match\n"
 
 
 # -- parser ------------------------------------------------------------
@@ -316,12 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "discrepancy",
-        help="recurrence counts beside brute force on a finite truncation",
+        help="recurrence counts beside the search on a finite truncation",
     )
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--gamma", type=int, default=0)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--star-levels", type=int, default=None)
     add_common(p, formats=("csv",))
     p.set_defaults(func=_cmd_discrepancy)
 
@@ -342,16 +309,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        try:
+            text, code = args.func(args), EXIT_OK
+        except _Mismatch as exc:
+            text, code = exc.args[0], EXIT_MISMATCH
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (TreeError, CoverError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (InvalidParamsError, InvalidSizeError) as exc:
+    except InvalidParamsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     except Exception as exc:
         # Anything else is a fault of the program, not of its input; exit 1
-        # stays reserved for an oracle mismatch.
+        # stays reserved for an oracle or identity mismatch.
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     finally:

@@ -49,14 +49,14 @@ def rooted_tree_codes(n: int) -> tuple[str, ...]:
     return _rooted_tree_table(n)[n] if n >= 1 else ()
 
 
-def tree_from_code(code: str, prefix: str = "n") -> Tree:
-    """Materialize a canonical code as a labeled tree (labels prefix0, prefix1, ...)."""
+def tree_from_code(code: str) -> Tree:
+    """Materialize a canonical code as a labeled tree (labels n0, n1, ... in pre-order)."""
     children: dict[str, list[str]] = {}
     open_nodes: list[str] = []  # nodes whose ')' is still to come, outermost first
     count = 0
     for ch in code:
         if ch == "(" and (open_nodes or not count):
-            label = f"{prefix}{count}"
+            label = f"n{count}"
             count += 1
             if open_nodes:
                 children.setdefault(open_nodes[-1], []).append(label)
@@ -67,7 +67,7 @@ def tree_from_code(code: str, prefix: str = "n") -> Tree:
             raise ValueError(f"malformed code {code!r}")
     if open_nodes or not count:
         raise ValueError(f"malformed code {code!r}")
-    return Tree(f"{prefix}0", children)
+    return Tree("n0", children)
 
 
 def all_rooted_trees(max_nodes: int) -> Iterator[Tree]:

@@ -17,7 +17,7 @@ from operator import mul
 
 
 class InvalidParamsError(ValueError):
-    pass
+    """A size, degree or range parameter is out of bounds (CLI exit 3)."""
 
 
 class NonIntegerResultError(ArithmeticError):
@@ -115,26 +115,7 @@ def p_table(
     return {d: series_coefficients(d, gamma, n_hi)[n_lo - 1 :] for d in range(d_lo, d_hi + 1)}
 
 
-# -- identity and bound reports ----------------------------------------
-
-
-def raney_decomposition_check(p: int, r: int, k: int) -> bool:
-    """Evaluate both sides of the Raney root-decomposition identity.
-
-    RHS: sum over l = 1..r of binom(r, l) times, over compositions of k-1
-    into l parts, the product of C_{p,1}(part+1), taken as coefficient k-1
-    of A(x)^l for A(x) = sum_{h>=1} C_{p,1}(h+1) * x^h truncated at degree
-    k-1.  Returns the computed verdict; nothing is assumed.
-    """
-    if p < 1 or r < 1 or k < 1:
-        raise InvalidParamsError(f"bad parameters p={p}, r={r}, k={k}")
-    a = [0] + [raney(p, 1, h + 1) for h in range(1, k)]
-    power = [1] + [0] * (k - 1)  # A(x)^0
-    rhs = 0
-    for l in range(1, r + 1):
-        power = [sum(map(mul, power[:d], a[d:0:-1])) for d in range(k)]
-        rhs += comb(r, l) * power[k - 1]
-    return rhs == raney(p, r, k)
+# -- bound and growth reports ------------------------------------------
 
 
 @dataclass(frozen=True)

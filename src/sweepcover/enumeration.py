@@ -10,12 +10,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Sequence
 
+from .counting import InvalidParamsError
 from .cover import Cover, make_cover, validate, max_cover_size
 from .tree import Tree
-
-
-class InvalidSizeError(ValueError):
-    """Requested cover size is below 1."""
 
 
 # -- generators --------------------------------------------------------
@@ -124,7 +121,7 @@ def find_sweep_covers(tree: Tree, n: int) -> set[Cover]:
     number of decomposition paths.
     """
     if n < 1:
-        raise InvalidSizeError(f"cover size must be >= 1, got {n}")
+        raise InvalidParamsError(f"cover size must be >= 1, got {n}")
     return _search(tree, [n])[n]
 
 
@@ -184,7 +181,7 @@ def brute_force_covers(tree: Tree, n: int) -> set[Cover]:
     full validator.
     """
     if n < 1:
-        raise InvalidSizeError(f"cover size must be >= 1, got {n}")
+        raise InvalidParamsError(f"cover size must be >= 1, got {n}")
     blocks: list[frozenset[str]] = [frozenset({tree.root})]
     for v in sorted(tree.nodes):
         kids = sorted(tree.children_of(v))

@@ -21,6 +21,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NoReturn
 
+from .counting import InvalidParamsError
+
 
 class TreeError(Exception):
     """Base class for tree construction and query failures."""
@@ -252,10 +254,12 @@ def parse_tree(text: str) -> Tree:
     """Parse a newline-delimited "parent child" edge list into a Tree.
 
     '#' starts a comment; blank lines are ignored.  Children keep the order
-    in which their edges appear.
+    in which their edges appear.  Lines end only at "\\n" (a "\\r" before it is
+    whitespace), so other characters `str.splitlines` breaks at, such as
+    form feeds, separate fields and do not shift line numbers.
     """
     children: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if len(fields) != 2:
             if not fields:
@@ -293,11 +297,11 @@ class IldSpec:
 
     def __post_init__(self) -> None:
         if self.delta < 2:
-            raise ValueError(f"delta must be >= 2, got {self.delta}")
+            raise InvalidParamsError(f"delta must be >= 2, got {self.delta}")
         if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+            raise InvalidParamsError(f"gamma must be >= 0, got {self.gamma}")
         if self.star_levels < 1:
-            raise ValueError(f"star_levels must be >= 1, got {self.star_levels}")
+            raise InvalidParamsError(f"star_levels must be >= 1, got {self.star_levels}")
 
 
 def build_ild_truncated(spec: IldSpec) -> Tree:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -12,7 +13,12 @@ from hypothesis import event, given, settings, strategies as st
 
 from sweepcover import cli
 from sweepcover.cli import main
-from sweepcover.counting import growth_report, p_count, series_coefficients
+from sweepcover.counting import (
+    InvalidParamsError,
+    growth_report,
+    p_count,
+    series_coefficients,
+)
 from sweepcover.cover import canonical_blocks, canonical_rows, max_cover_size
 from sweepcover.enumeration import find_sweep_covers
 from sweepcover.tree import Tree, serialize_tree
@@ -369,24 +375,44 @@ class TestReports:
 
 
 class TestDiscrepancy:
-    def test_rows_are_informational(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "discrepancy", "--delta", "2", "--n-max", "2", "--star-levels", "3",
-        )
-        assert code == 0
-        rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["n", "recurrence_count", "truncated_brute_force_count"]
-        assert [r[1] for r in rows[1:]] == ["1", "1"]
-        # brute-force column comes from the actual truncation run
-        assert all(int(r[2]) >= 1 for r in rows[1:])
+    HEADER = ["n", "recurrence_count", "truncated_search_count"]
 
-    def test_zero_star_levels_exits_3(self, capsys):
+    @pytest.mark.parametrize("delta,gamma,n_max", [(2, 0, 4), (3, 1, 4), (4, 0, 3)])
+    def test_identity_at_default_depth(self, capsys, delta, gamma, n_max):
         code, out, err = run(
-            capsys, "discrepancy", "--delta", "2", "--n-max", "2", "--star-levels", "0"
+            capsys,
+            "discrepancy", "--delta", str(delta), "--gamma", str(gamma), "--n-max", str(n_max),
         )
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == self.HEADER
+        assert [int(r[0]) for r in rows[1:]] == list(range(1, n_max + 1))
+        # IldSpec.gamma counts path edges, the recurrence counts path nodes.
+        assert [int(r[1]) for r in rows[1:]] == series_coefficients(delta, gamma + 1, n_max)
+        assert all(r[1] == r[2] for r in rows[1:])
+
+    def test_mismatch_exits_1_and_prints_table(self, capsys, monkeypatch):
+        real = cli.series_coefficients
+        monkeypatch.setattr(
+            cli, "series_coefficients", lambda d, g, n: real(d, g, n)[:-1] + [0]
+        )
+        code, out, err = run(capsys, "discrepancy", "--delta", "2", "--n-max", "4")
+        assert (code, err) == (1, "")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows == [self.HEADER, ["1", "2", "2"], ["2", "4", "4"], ["3", "16", "16"],
+                        ["4", "0", "80"]]
+
+    @pytest.mark.parametrize("n_max", ["0", "-2"])
+    def test_bad_n_max_exits_3(self, capsys, n_max):
+        code, out, err = run(capsys, "discrepancy", "--delta", "2", "--n-max", n_max)
         assert (code, out) == (3, "")
-        assert err == "error: star_levels must be >= 1, got 0\n"
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_star_levels_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["discrepancy", "--delta", "2", "--n-max", "2", "--star-levels", "3"])
+        capsys.readouterr()
+        assert exc.value.code == 2
 
 
 class TestOracleCheck:
@@ -402,6 +428,20 @@ class TestOracleCheck:
     def test_bad_params(self, capsys):
         code, _, _ = run(capsys, "oracle-check", "--max-nodes", "0", "--n-max", "1")
         assert code == 3
+        with pytest.raises(InvalidParamsError):
+            cli.run_oracle_check(2, 0)
+
+    def test_mismatch_exits_1_and_writes_report(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "brute_force_covers", lambda tree, n: set())
+        code, out, err = run(capsys, "oracle-check", "--max-nodes", "1", "--n-max", "1")
+        assert (code, err) == (1, "")
+        assert out == "MISMATCH: tree () n=1: search found 1, brute force found 0\n"
+        out_path = tmp_path / "report.txt"
+        again = run(
+            capsys, "oracle-check", "--max-nodes", "1", "--n-max", "1", "--out", str(out_path)
+        )
+        assert again == (1, "", "")
+        assert out_path.read_text() == out
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -413,3 +453,50 @@ def test_out_flag_writes_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert "1,1,2" in out_path.read_text()
+
+
+# One small command per subcommand; "{tree}" and "{cover}" name files the
+# test writes.
+OUT_ARGVS = {
+    "enumerate": ["enumerate", "--tree", "{tree}", "--n", "2", "--format", "json"],
+    "validate": ["validate", "--tree", "{tree}", "--cover", "{cover}"],
+    "count": ["count", "--delta", "3", "--n", "5"],
+    "table": ["table", "--delta-range", "2..4", "--n-max", "5", "--format", "csv"],
+    "bound-report": ["bound-report", "--delta", "3", "--n-max", "5"],
+    "growth-report": ["growth-report", "--delta", "3", "--n-max", "5"],
+    "discrepancy": ["discrepancy", "--delta", "2", "--n-max", "3"],
+    "oracle-check": ["oracle-check", "--max-nodes", "3", "--n-max", "2"],
+}
+
+
+def test_out_argvs_name_every_subcommand():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(OUT_ARGVS) == set(sub.choices)
+
+
+def _argv(name, tmp_path):
+    (tmp_path / "t.tree").write_text("r a\nr b\na c\na d\n")
+    (tmp_path / "c.json").write_text('[["r"], ["c"]]')
+    files = {"{tree}": str(tmp_path / "t.tree"), "{cover}": str(tmp_path / "c.json")}
+    return [files.get(arg, arg) for arg in OUT_ARGVS[name]]
+
+
+@pytest.mark.parametrize("name", sorted(OUT_ARGVS))
+def test_out_file_has_stdout_bytes(capsys, tmp_path, name):
+    argv = _argv(name, tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    out_path = tmp_path / "out.txt"
+    again = run(capsys, *argv, "--out", str(out_path))
+    assert again == (0, "", "")
+    assert out_path.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(OUT_ARGVS))
+def test_unwritable_out_exits_2(capsys, tmp_path, name):
+    argv = _argv(name, tmp_path)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "no-such-dir" / "out.txt"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "internal error" not in err

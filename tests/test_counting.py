@@ -13,7 +13,6 @@ from sweepcover.counting import (
     p_table,
     raney,
     raney_bound_report,
-    raney_decomposition_check,
     series_coefficients,
 )
 from sweepcover.enumeration import find_sweep_covers, set_partitions
@@ -146,33 +145,6 @@ def test_series_coefficients():
     assert series_coefficients(2, 0, 5) == [1, 1, 2, 5, 14]
     assert series_coefficients(3, 0, 4) == [1, 3, 10, 39]
     assert series_coefficients(7, 4, 1) == [5]
-
-
-def test_raney_decomposition_identity():
-    # Frozen verdicts from evaluating both sides independently.  The
-    # identity is not universally true: k = 1 degenerates (empty
-    # composition of 0) and some r >= 2 cells disagree; the checker
-    # reports what it computes rather than asserting the equality.
-    assert raney_decomposition_check(2, 1, 1) is False
-    assert raney_decomposition_check(2, 2, 2) is False
-    assert raney_decomposition_check(2, 2, 3) is True
-    assert raney_decomposition_check(3, 1, 2) is True
-    # the r = 1 rows reduce to a single composition and always agree
-    for p in range(2, 5):
-        for k in range(2, 8):
-            assert raney_decomposition_check(p, 1, k) is True, (p, k)
-
-
-def test_raney_decomposition_closed_form():
-    # 1 + A(x) = (B(x) - 1) / x = B(x)^p for B = 1 + x*B^p, so the RHS is
-    # [x^(k-1)] B^(p*r) = C_{p,p*r}(k-1); at k = 1 every term is 0.  k runs
-    # far past what walking the compositions could reach.
-    for p in range(1, 6):
-        for r in range(1, 7):
-            assert raney_decomposition_check(p, r, 1) is False
-            for k in range(2, 41):
-                want = raney(p, p * r, k - 1) == raney(p, r, k)
-                assert raney_decomposition_check(p, r, k) is want, (p, r, k)
 
 
 def test_raney_bound_report_is_self_consistent():

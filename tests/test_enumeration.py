@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sweepcover.corpus import all_rooted_trees, rooted_tree_codes, tree_from_code
-from sweepcover.counting import count_nonsingleton
+from sweepcover.counting import InvalidParamsError, count_nonsingleton
 from sweepcover.cover import make_cover, max_cover_size, validate
 from sweepcover.enumeration import (
-    InvalidSizeError,
     _capped_compositions,
     all_sweep_covers,
     brute_force_covers,
@@ -140,8 +139,9 @@ class TestFindSweepCovers:
             assert len(per_size[1]) == m
 
     def test_invalid_size(self):
-        with pytest.raises(InvalidSizeError):
-            find_sweep_covers(parse_tree("r a"), 0)
+        for search in (find_sweep_covers, brute_force_covers):
+            with pytest.raises(InvalidParamsError):
+                search(parse_tree("r a"), 0)
 
     def test_every_result_validates(self):
         t = parse_tree("r a\nr b\na c\na d\nb e")

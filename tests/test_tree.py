@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sweepcover.corpus import tree_from_code
+from sweepcover.counting import InvalidParamsError
 from sweepcover.tree import (
     CycleError,
     DuplicateEdgeError,
@@ -63,6 +64,23 @@ class TestParse:
     def test_malformed_line(self):
         with pytest.raises(TreeError):
             parse_tree("r a b")
+
+    def test_lines_end_only_at_newline(self):
+        # str.splitlines would also break at the form feed, read two edges
+        # and blame line 3.
+        with pytest.raises(TreeError, match=r"^line 1: "):
+            parse_tree("r a\x0cr b\nr c d\n")
+        for sep in ("\x1c", "\x85", "\u2028"):
+            with pytest.raises(TreeError, match=r"^line 2: "):
+                parse_tree(f"r a\nr b{sep}r c\n")
+
+    def test_crlf_parses_as_before(self):
+        text = "# a tree\nr a  # edge\n\nr b\na c\na d\n"
+        lf, crlf = parse_tree(text), parse_tree(text.replace("\n", "\r\n"))
+        assert (crlf.root, crlf.edges()) == (lf.root, lf.edges())
+        assert crlf.edges() == (("a", "c"), ("a", "d"), ("r", "a"), ("r", "b"))
+        with pytest.raises(TreeError, match=r"^line 2: "):
+            parse_tree("r a\r\nr b c\r\n")
 
     def test_label_characters(self):
         every = [chr(i) for i in range(sys.maxunicode + 1)]
@@ -249,7 +267,7 @@ class TestIld:
 
     @pytest.mark.parametrize("delta,gamma,levels", [(1, 0, 1), (2, -1, 1), (2, 0, 0)])
     def test_spec_validation(self, delta, gamma, levels):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParamsError):
             IldSpec(delta, gamma, levels)
 
 
