@@ -1,17 +1,17 @@
 """Explicit enumeration: combinatorial generators and sweep-cover search.
 
-`find_sweep_covers` is the decomposition search, memoized within each call;
-`brute_force_covers` is a deliberately naive exponential reference kept
-independent of it.
+`find_sweep_covers` builds covers children first, in one pass over the
+tree, from the paper's recurrence; `brute_force_covers` is a deliberately
+naive exponential reference kept independent of it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .counting import InvalidParamsError
-from .cover import Cover, make_cover, validate, max_cover_size
+from .cover import Cover, validate, max_cover_size
 from .tree import Tree
 
 
@@ -21,10 +21,12 @@ from .tree import Tree
 def compositions(k: int, n: int) -> Iterator[tuple[int, ...]]:
     """All ordered lists of n positive integers summing to k, lexicographic.
 
-    Empty when k < n or n < 1.
+    Each composition is read off n - 1 cut points in 1..k-1, taken in
+    lexicographic order.  Empty when k < n or n < 1.
     """
     if 1 <= n <= k:
-        yield from _capped_compositions(k, [k] * n)
+        for cuts in itertools.combinations(range(1, k), n - 1):
+            yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, k)))
 
 
 def set_partitions(
@@ -72,104 +74,85 @@ def nonsingleton_partitions(
 # -- decomposition cover search ----------------------------------------
 
 
-def _capped_compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Compositions of `total` with 1 <= part i <= caps[i], lexicographic.
-
-    An odometer over one list of parts: each step raises the rightmost part
-    that can still grow by one and refills the parts after it with their
-    smallest values, each no smaller than what the later caps cannot make
-    up.  Nothing is thrown away, and memory stays O(len(caps)).  With no
-    caps, the empty composition is yielded when `total` is 0.
-    """
-    n = len(caps)
-    if not n <= total <= sum(caps):
-        return
-    room = list(itertools.accumulate(reversed(caps), initial=0))[::-1]  # sum(caps[i:])
-    parts = [0] * n
-    i, left = 0, total  # parts[i:] are refilled to sum to left
-    while True:
-        for j in range(i, n):
-            parts[j] = max(1, left - room[j + 1])
-            left -= parts[j]
-        yield tuple(parts)
-        # left is sum(parts[i + 1:]); part i can grow if a later part can shrink.
-        i = n - 1
-        while i >= 0 and (parts[i] == caps[i] or left == n - 1 - i):
-            left += parts[i]
-            i -= 1
-        if i < 0:
-            return
-        parts[i] += 1
-        left -= 1
-        i += 1
-
-
 def find_sweep_covers(tree: Tree, n: int) -> set[Cover]:
-    """All sweep-covers of size n, found by recursive decomposition.
+    """All sweep-covers of size n, built children first from the recurrence.
 
-    Size 1: one singleton per node on the linear path from the root to its
-    lowest known descendant, plus the descendant's full child set when it
-    has children.  Size n >= 2: split the child set into singletons L and
-    non-singleton blocks R, distribute the remaining size over the subtrees
-    rooted at L via compositions, and combine subtree covers with R.
+    A leaf v has the one cover {v}.  Any other node v has {v}, plus, when it
+    has one child, every cover of the child's subtree (the linear path),
+    and when it has two or more, one cover per partition of its child set:
+    the partition's non-singleton blocks joined with one cover of each
+    singleton child's subtree, sizes adding up as an ordered composition.
 
-    Each (subtree root, size) pair is solved once per call, on the original
-    tree's labels, and only compositions that give no subtree more than its
-    leaf count (a subtree has no larger cover; `Tree.leaf_count` reads it
-    off the tree's leaf index) are generated, so the cost
-    follows the number of distinct subproblems and covers rather than the
-    number of decomposition paths.
+    Each node keeps only the sizes a cover of the whole tree of size n can
+    use, and subtrees below n or more branching ancestors are never
+    visited, so the cost follows the covers that can reach the root rather
+    than every cover of every subtree.
     """
     if n < 1:
         raise InvalidParamsError(f"cover size must be >= 1, got {n}")
-    return _search(tree, [n])[n]
+    return _search(tree, n, n)[n]
 
 
-def _search(tree: Tree, sizes: Sequence[int]) -> dict[int, set[Cover]]:
-    """Covers of the whole tree for each size, sharing one memo of subproblems.
+def _search(tree: Tree, lo: int, hi: int) -> dict[int, set[Cover]]:
+    """Covers of the whole tree of each size from lo to hi, in one pass.
 
-    Iterative in the tree's depth: a first pass records, for every
-    (subtree root, size) pair reachable from the requested sizes, the
-    non-singleton blocks and child subproblems of each decomposition; a
-    second pass solves the pairs with descendants before ancestors.
+    Every branching proper ancestor of v adds at least one block beside a
+    cover of v's subtree, and the leaves outside that subtree bound what
+    the rest of a cover adds, so v keeps the sizes from lo minus those
+    leaves to hi minus those ancestors (and at most its own leaf count).
     """
-    # plans[(v, s)]: (non-singleton blocks, ((child, size), ...)) per decomposition.
-    plans: dict[tuple[str, int], list[tuple[Cover, tuple[tuple[str, int], ...]]]] = {}
-    todo = [(tree.root, s) for s in sizes]
-    while todo:
-        key = todo.pop()
-        if key in plans:
+    total_leaves = tree.leaf_count(tree.root)
+    # forks[v]: proper ancestors of v with two or more children.  A subtree
+    # below hi or more of them has no size left to use and is skipped.
+    forks = {tree.root: 0}
+    kept: list[str] = []
+    i = 0
+    while i < len(tree.preorder):
+        v = tree.preorder[i]
+        if forks[v] >= hi:
+            i = tree.span(v)[1]
             continue
-        v, s = key
-        plan = plans[key] = []
-        if s == 1 or s > tree.leaf_count(v):
-            continue
-        child_set = tree.children_of(tree.lowest_known_descendant(v))
-        for part in set_partitions(sorted(child_set), min(s, len(child_set))):
-            nonsingletons = frozenset(b for b in part if len(b) > 1)
-            singles = sorted(next(iter(b)) for b in part if len(b) == 1)
-            remaining = s - len(nonsingletons)
-            for parts in _capped_compositions(remaining, list(map(tree.leaf_count, singles))):
-                subproblems = tuple(zip(singles, parts))
-                plan.append((nonsingletons, subproblems))
-                todo.extend(subproblems)
+        kids = tree.children_of(v)
+        forks.update((c, forks[v] + (len(kids) > 1)) for c in kids)
+        kept.append(v)
+        i += 1
 
-    solved: dict[tuple[str, int], set[Cover]] = {}
-    # Descendants come later in pre-order, so they are solved first.
-    for key in sorted(plans, key=lambda k: tree.span(k[0]), reverse=True):
-        v, s = key
-        covers: set[Cover] = set()
-        if s == 1:
-            path = tree.linear_path_from(v)
-            covers.update(make_cover([[u]]) for u in path)
-            if tree.children_of(path[-1]):
-                covers.add(make_cover([tree.children_of(path[-1])]))
-        for nonsingletons, subproblems in plans[key]:
-            pools = [solved[sub] for sub in subproblems]
-            for combo in itertools.product(*pools):
-                covers.add(nonsingletons.union(*combo))
-        solved[key] = covers
-    return {s: solved[(tree.root, s)] for s in sizes}
+    # covers[v]: size -> covers of v's subtree, popped once v's parent is built.
+    covers: dict[str, dict[int, set[Cover]]] = {}
+    for v in reversed(kept):
+        leaves = tree.leaf_count(v)
+        bottom = lo - (total_leaves - leaves)
+        top = min(hi - forks[v], leaves)
+        kids = tree.children_of(v)
+        here = covers.pop(kids[0]) if len(kids) == 1 else {}
+        if bottom <= 1:
+            here.setdefault(1, set()).add(frozenset({frozenset({v})}))
+        if len(kids) > 1:
+            below = {c: covers.pop(c, None) for c in kids}
+            for part in set_partitions(kids, min(top, len(kids))):
+                blocks = frozenset(b for b in part if len(b) > 1)
+                singles = [below[c] for b in part if len(b) == 1 for c in b]
+                # partial: size -> the ways to give each singleton child folded
+                # so far a size, each as the tuple of the pools picked from.
+                partial = {len(blocks): [()]}
+                while singles:
+                    sub = singles.pop()
+                    grown: dict[int, list[tuple[set[Cover], ...]]] = {}
+                    for s, picks in partial.items():
+                        for t, pool in sub.items():
+                            # Each singleton child still to come adds a block.
+                            if s + t <= top - len(singles):
+                                grown.setdefault(s + t, []).extend(p + (pool,) for p in picks)
+                    partial = grown
+                for s, picks in partial.items():
+                    if s >= bottom:
+                        out = here.setdefault(s, set())
+                        for pools in picks:
+                            combos = itertools.product(*pools)
+                            out.update(blocks.union(*combo) for combo in combos)
+        covers[v] = here
+    found = covers[tree.root]
+    return {s: found.get(s, set()) for s in range(lo, hi + 1)}
 
 
 def brute_force_covers(tree: Tree, n: int) -> set[Cover]:
@@ -216,8 +199,5 @@ def brute_force_covers(tree: Tree, n: int) -> set[Cover]:
 
 
 def all_sweep_covers(tree: Tree) -> dict[int, set[Cover]]:
-    """Covers of every size from 1 to the leaf count, keyed by size.
-
-    All sizes share one memo of (subtree root, size) subproblems.
-    """
-    return _search(tree, range(1, max_cover_size(tree) + 1))
+    """Covers of every size from 1 to the leaf count, keyed by size, in one pass."""
+    return _search(tree, 1, max_cover_size(tree))

@@ -179,9 +179,6 @@ class Tree:
         self._require(v)
         return self._parent.get(v)
 
-    def out_degree(self, v: str) -> int:
-        return len(self.children_of(v))
-
     def leaves(self) -> tuple[str, ...]:
         return tuple(sorted(v for v in self.preorder if not self._children.get(v)))
 
@@ -190,21 +187,6 @@ class Tree:
         return tuple((p, c) for p in sorted(self._children) for c in self._children[p])
 
     # -- structural queries --------------------------------------------
-
-    def linear_path_from(self, v: str) -> tuple[str, ...]:
-        """Maximal chain starting at v whose interior nodes all have out-degree 1.
-
-        The chain stops at the first node whose out-degree differs from 1.
-        """
-        self._require(v)
-        path = [v]
-        while self.out_degree(path[-1]) == 1:
-            path.append(self._children[path[-1]][0])
-        return tuple(path)
-
-    def lowest_known_descendant(self, v: str) -> str:
-        """Endpoint of the maximal linear path from v; equals v when out-degree(v) != 1."""
-        return self.linear_path_from(v)[-1]
 
     def ancestors_of(self, v: str) -> set[str]:
         """Proper ancestors of v, root included."""

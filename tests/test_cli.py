@@ -402,11 +402,20 @@ class TestDiscrepancy:
         assert rows == [self.HEADER, ["1", "2", "2"], ["2", "4", "4"], ["3", "16", "16"],
                         ["4", "0", "80"]]
 
-    @pytest.mark.parametrize("n_max", ["0", "-2"])
-    def test_bad_n_max_exits_3(self, capsys, n_max):
-        code, out, err = run(capsys, "discrepancy", "--delta", "2", "--n-max", n_max)
-        assert (code, out) == (3, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--n-max", "0"], "n_max must be >= 1, got 0"),
+            (["--n-max", "-1"], "n_max must be >= 1, got -1"),
+            (["--n-max", "-2"], "n_max must be >= 1, got -2"),
+            # The user's own delta and gamma, not the recurrence's gamma + 1.
+            (["--delta", "1", "--n-max", "3"], "delta must be >= 2, got 1"),
+            (["--gamma", "-1", "--n-max", "3"], "gamma must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_n_max_exits_3(self, capsys, args, message):
+        code, out, err = run(capsys, "discrepancy", "--delta", "2", *args)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
     def test_star_levels_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -122,17 +122,18 @@ class TestInducedSubgraphs:
         assert nodes == FORK.nodes and edges == set(FORK.edges())
 
     def test_block_parent_on_root_linear_path(self):
-        # The block's parent closes the linear path from the root; for
-        # blocks of size >= 2 it is exactly the lowest known descendant
-        # (a singleton block lets the path continue through its member).
+        # The block's parent closes the linear path from the root: every
+        # node above it has one child.  For blocks of size >= 2 it is where
+        # that path ends (a singleton block lets the path continue through
+        # its member).
         cover = make_cover([["c", "d"], ["b"]])
         for block, sub in zip(canonical_blocks(cover), induced_subgraphs(FORK, cover)):
             parents = {sub.parent_of(v) for v in block}
             assert len(parents) == 1
             (vp,) = parents
-            assert vp in sub.linear_path_from(sub.root)
+            assert all(len(sub.children_of(u)) == 1 for u in sub.ancestors_of(vp))
             if len(block) >= 2:
-                assert vp == sub.lowest_known_descendant(sub.root)
+                assert len(sub.children_of(vp)) != 1
 
     def test_block_is_size_one_cover_of_its_subgraph(self):
         cover = make_cover([["c", "d"], ["b"]])

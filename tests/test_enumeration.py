@@ -8,7 +8,6 @@ from sweepcover.corpus import all_rooted_trees, rooted_tree_codes, tree_from_cod
 from sweepcover.counting import InvalidParamsError, count_nonsingleton
 from sweepcover.cover import make_cover, max_cover_size, validate
 from sweepcover.enumeration import (
-    _capped_compositions,
     all_sweep_covers,
     brute_force_covers,
     compositions,
@@ -47,7 +46,7 @@ class TestCompositions:
                 capped = [
                     c for c in compositions(k, len(caps)) if all(p <= q for p, q in zip(c, caps))
                 ]
-                assert list(_capped_compositions(k, caps)) == capped == want, (caps, k)
+                assert capped == want, (caps, k)
 
     def test_lexicographic_and_counts(self):
         for k in range(1, 13):
@@ -165,13 +164,18 @@ class TestFindSweepCovers:
 
 
 @st.composite
-def small_trees(draw, max_nodes=9):
-    """Random rooted trees: node i > 0 hangs below an earlier node, labels shuffled."""
+def small_trees(draw, max_nodes=9, reach=None):
+    """Random rooted trees: node i > 0 hangs below an earlier node, labels shuffled.
+
+    With `reach`, node i hangs below one of the `reach` nodes before it, so
+    no node has more than `reach` children.
+    """
     size = draw(st.integers(min_value=2, max_value=max_nodes))
     labels = [f"v{i}" for i in draw(st.permutations(range(size)))]
     children: dict[str, list[str]] = {}
     for i in range(1, size):
-        parent = draw(st.integers(min_value=0, max_value=i - 1))
+        low = 0 if reach is None else max(0, i - reach)
+        parent = draw(st.integers(min_value=low, max_value=i - 1))
         children.setdefault(labels[parent], []).append(labels[i])
     return Tree(labels[0], children)
 
@@ -183,6 +187,17 @@ def test_search_matches_brute_force_on_random_trees(t):
     assert set(per_size) == set(range(1, max_cover_size(t) + 1))
     for n, covers in per_size.items():
         assert find_sweep_covers(t, n) == brute_force_covers(t, n) == covers, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_trees(max_nodes=25, reach=6))
+def test_single_size_search_matches_all_sizes_pass(t):
+    # Each size's bounds prune differently from the all-sizes pass, on
+    # trees too large for brute force.  No node has more than six children:
+    # a 24-leaf star would have some 4·10^17 covers, one per partition.
+    per_size = all_sweep_covers(t)
+    for n in range(1, max_cover_size(t) + 2):
+        assert find_sweep_covers(t, n) == per_size.get(n, set()), n
 
 
 class TestBruteForce:

@@ -191,23 +191,6 @@ class TestQueries:
         with pytest.raises(UnknownNodeError):
             parse_tree("r a").ancestors_of("z")
 
-    def test_linear_path_on_chain(self):
-        t = chain("a", "b", "c")
-        assert t.linear_path_from("a") == ("a", "b", "c")
-
-    def test_linear_path_stops_at_branch(self):
-        t = Tree("r", {"r": ["a"], "a": ["b", "c"]})
-        assert t.linear_path_from("r") == ("r", "a")
-        assert t.lowest_known_descendant("r") == "a"
-
-    def test_linear_path_on_star(self):
-        t = parse_tree("r a\nr b")
-        assert t.linear_path_from("r") == ("r",)
-        assert t.lowest_known_descendant("r") == "r"
-
-    def test_lkd_of_chain_is_leaf(self):
-        assert chain("a", "b", "c").lowest_known_descendant("a") == "c"
-
     def test_relatives_star(self):
         t = parse_tree("r a\nr b")
         assert t.relatives({"a"}) == ({"r"}, set())
@@ -240,12 +223,12 @@ class TestIld:
     def test_minimal_star(self):
         t = build_ild_truncated(IldSpec(delta=2, gamma=0, star_levels=1))
         assert len(t) == 3
-        assert t.out_degree(t.root) == 2
+        assert len(t.children_of(t.root)) == 2
 
     def test_gamma_one(self):
         t = build_ild_truncated(IldSpec(delta=2, gamma=1, star_levels=1))
         assert len(t) == 4
-        assert t.out_degree(t.root) == 1
+        assert len(t.children_of(t.root)) == 1
 
     def test_two_levels_node_count(self):
         t = build_ild_truncated(IldSpec(delta=3, gamma=0, star_levels=2))
@@ -254,10 +237,14 @@ class TestIld:
     def test_gamma_paths_between_stars(self):
         t = build_ild_truncated(IldSpec(delta=2, gamma=2, star_levels=2))
         # root path: gamma edges to the first star, then per child again.
-        star = t.lowest_known_descendant(t.root)
+        star, *next_stars = [v for v in t.preorder if len(t.children_of(v)) > 1]
         assert len(t.ancestors_of(star)) == 2
-        for c in t.children_of(star):
-            assert len(t.linear_path_from(c)) == 3
+        assert len(next_stars) == 2
+        for nxt in next_stars:
+            head = t.parent_of(t.parent_of(nxt))
+            assert t.parent_of(head) == star
+            assert len(t.children_of(head)) == len(t.children_of(t.parent_of(nxt))) == 1
+            assert len(t.ancestors_of(nxt)) == len(t.ancestors_of(star)) + 3
 
     def test_deterministic_labels(self):
         spec = IldSpec(delta=3, gamma=1, star_levels=2)
@@ -314,10 +301,9 @@ def test_random_attachment_tree_invariants(parent_picks):
         children.setdefault(labels[pick % i], []).append(labels[i])
     t = Tree(labels[0], children)
     for v in t.nodes:
-        path = t.linear_path_from(v)
-        assert all(t.out_degree(u) == 1 for u in path[:-1])
-        assert t.out_degree(path[-1]) != 1
-        assert (t.lowest_known_descendant(v) == v) == (t.out_degree(v) != 1)
+        assert all(t.parent_of(c) == v for c in t.children_of(v))
+        p = t.parent_of(v)
+        assert t.ancestors_of(v) == (set() if p is None else {p} | t.ancestors_of(p))
         start, end = t.span(v)
         assert t.preorder[start] == v
         assert set(t.preorder[start + 1 : end]) == {u for u in t.nodes if v in t.ancestors_of(u)}
