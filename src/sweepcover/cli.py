@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -183,11 +182,9 @@ def _cmd_discrepancy(args: argparse.Namespace) -> str:
     edges, so the tree with gamma-edge paths is counted by gamma + 1; its
     n_max + 1 star levels hold every cover of size n_max or less.
     """
-    # Parameter errors name the values given: the spec checks delta and
-    # gamma, then the solve checks n_max, then the depth is set from n_max.
-    spec = IldSpec(args.delta, args.gamma, star_levels=1)
+    spec = IldSpec(args.delta, args.gamma, max(args.n_max, 0) + 1)
     counts = series_coefficients(args.delta, args.gamma + 1, args.n_max)
-    tree = build_ild_truncated(dataclasses.replace(spec, star_levels=args.n_max + 1))
+    tree = build_ild_truncated(spec)
     rows = [(n, want, len(find_sweep_covers(tree, n))) for n, want in enumerate(counts, 1)]
     text = _csv(["n", "recurrence_count", "truncated_search_count"], rows)
     if any(want != got for _, want, got in rows):

@@ -102,6 +102,9 @@ def _search(tree: Tree, lo: int, hi: int) -> dict[int, set[Cover]]:
     leaves to hi minus those ancestors (and at most its own leaf count).
     """
     total_leaves = tree.leaf_count(tree.root)
+    if lo > total_leaves:
+        # No cover is larger than the leaf count.
+        return {s: set() for s in range(lo, hi + 1)}
     # forks[v]: proper ancestors of v with two or more children.  A subtree
     # below hi or more of them has no size left to use and is skipped.
     forks = {tree.root: 0}
@@ -128,7 +131,7 @@ def _search(tree: Tree, lo: int, hi: int) -> dict[int, set[Cover]]:
         if bottom <= 1:
             here.setdefault(1, set()).add(frozenset({frozenset({v})}))
         if len(kids) > 1:
-            below = {c: covers.pop(c, None) for c in kids}
+            below = {c: covers.pop(c, {}) for c in kids}
             for part in set_partitions(kids, min(top, len(kids))):
                 blocks = frozenset(b for b in part if len(b) > 1)
                 singles = [below[c] for b in part if len(b) == 1 for c in b]

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sweepcover import enumeration
 from sweepcover.corpus import all_rooted_trees, rooted_tree_codes, tree_from_code
 from sweepcover.counting import InvalidParamsError, count_nonsingleton
 from sweepcover.cover import make_cover, max_cover_size, validate
@@ -128,6 +129,15 @@ class TestFindSweepCovers:
     def test_beyond_max_size_is_empty(self):
         t = parse_tree("r a\nr b")
         assert find_sweep_covers(t, 3) == set()
+
+    def test_beyond_max_size_walks_no_partition(self, monkeypatch):
+        # A 25-leaf star has Bell(25) ~ 4.6e18 partitions of its children.
+        def fail(*_):
+            raise AssertionError("set_partitions called for a size above the leaf count")
+
+        monkeypatch.setattr(enumeration, "set_partitions", fail)
+        t = Tree("r", {"r": [f"c{i}" for i in range(25)]})
+        assert find_sweep_covers(t, 26) == set()
 
     def test_path_trees_have_one_cover_per_node(self):
         for m in range(1, 11):
