@@ -4,7 +4,8 @@ Every command maps its parsed arguments to its output text; `main` alone
 writes that text (to --out or stdout) and picks the exit code: 0 success
 (including empty result sets), 1 oracle or identity mismatch (the output
 is still written), 2 input parse failure (unreadable, undecodable or malformed
-files, or an unwritable --out), 3 parameter validation failure, 4 internal
+files, or an unwritable --out) or a malformed command line (argparse exits
+with the usage on stderr), 3 parameter validation failure, 4 internal
 error (any other exception).  Output is deterministic; JSON carries big
 integers as decimal strings.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -231,7 +233,14 @@ def _cmd_oracle_check(args: argparse.Namespace) -> str:
 # -- parser ------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Return the one parser this process shares; callers must not change it.
+
+    It is built on the first call (the first `main`, not at import) and
+    reused after that: `parse_args` keeps no state between calls, so every
+    call still gets a fresh namespace and the same output.
+    """
     parser = argparse.ArgumentParser(
         prog="sweepcover",
         description="Enumerate, validate, and count sweep-covers on rooted trees.",

@@ -91,10 +91,12 @@ class TestEnumerate:
         assert code == 3
 
     def test_internal_error_exits_4(self, capsys, star_file, monkeypatch):
-        def broken(args):
+        # The shared parser holds the command functions themselves, so the
+        # fault goes into a name the command looks up when it runs.
+        def broken(tree, n):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "_cmd_enumerate", broken)
+        monkeypatch.setattr(cli, "find_sweep_covers", broken)
         code, out, err = run(capsys, "enumerate", "--tree", star_file, "--n", "1")
         assert code == cli.EXIT_INTERNAL == 4
         assert out == ""
@@ -509,3 +511,38 @@ def test_unwritable_out_exits_2(capsys, tmp_path, name):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "internal error" not in err
+
+
+def test_shared_parser_keeps_no_state_between_commands(capsys, tmp_path, monkeypatch):
+    argvs = [_argv(name, tmp_path) for name in sorted(OUT_ARGVS)] + [
+        ["count", "--delta", "1", "--n", "3"],
+        ["count", "--delta", "3"],
+        ["enumerate", "--help"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = [outcome(argv) for argv in argvs]
+    assert [code for code, _, _ in first] == [0] * len(OUT_ARGVS) + [
+        3, "SystemExit(2)", "SystemExit(0)"
+    ]
+    assert first[-2][2].startswith("usage: sweepcover count ")
+    assert first[-1][1].startswith("usage: sweepcover enumerate ")
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    second = [outcome(argv) for argv in reversed(argvs)]
+    assert second[::-1] == first
+    assert built == []
