@@ -18,9 +18,8 @@ import functools
 import io
 import itertools
 import json
-import random
 import sys
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .corpus import all_rooted_trees, random_labeled_tree
 from .counting import (
@@ -205,6 +204,8 @@ def run_oracle_check(
     """
     if max_nodes < 1 or n_max < 1:
         raise InvalidParamsError("--max-nodes and --n-max must be >= 1")
+    import random  # only this command needs it; every other one starts without
+
     trees = list(all_rooted_trees(max_nodes))
     rng = random.Random(seed)
     if max_nodes >= 2:

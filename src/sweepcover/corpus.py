@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import random
 from collections import Counter
+from collections.abc import Iterator
 from itertools import combinations_with_replacement, product
-from typing import Iterator
 
 from .tree import Tree
 
@@ -77,7 +76,7 @@ def all_rooted_trees(max_nodes: int) -> Iterator[Tree]:
             yield tree_from_code(code)
 
 
-def random_labeled_tree(rng: random.Random, n_nodes: int) -> Tree:
+def random_labeled_tree(rng: "random.Random", n_nodes: int) -> Tree:
     """Uniform random attachment tree with shuffled labels."""
     labels = [f"v{i}" for i in range(n_nodes)]
     rng.shuffle(labels)

@@ -10,7 +10,7 @@ O(delta * n^2) big-integer multiplies, with no recursion and no cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, exp, log
 from operator import mul
@@ -57,9 +57,11 @@ def catalan(k: int) -> int:
     return raney(2, 1, k)
 
 
-def _check_params(delta: int, gamma: int, n: int) -> None:
-    if delta < 2 or gamma < 0 or n < 1:
-        raise InvalidParamsError(f"bad parameters delta={delta}, gamma={gamma}, n={n}")
+def _check_params(delta: int, gamma: int, n: int | None = None) -> None:
+    """Reject a bad delta or gamma, and a bad n when the caller was given one."""
+    if delta < 2 or gamma < 0 or (n is not None and n < 1):
+        given = f"delta={delta}, gamma={gamma}" + ("" if n is None else f", n={n}")
+        raise InvalidParamsError(f"bad parameters {given}")
 
 
 def series_coefficients(delta: int, gamma: int, n_max: int) -> list[int]:
@@ -74,7 +76,7 @@ def series_coefficients(delta: int, gamma: int, n_max: int) -> list[int]:
     """
     if n_max < 1:
         raise InvalidParamsError(f"n_max must be >= 1, got {n_max}")
-    _check_params(delta, gamma, 1)
+    _check_params(delta, gamma)
     R = _nonsingleton_rows(delta, delta)
     # (l, r, coefficient of x^r * P^l on the right side)
     terms = [
@@ -118,12 +120,7 @@ def p_table(
 # -- bound and growth reports ------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundRow:
-    n: int
-    p_value: int
-    raney_value: int
-    inequality_holds: bool
+BoundRow = namedtuple("BoundRow", "n p_value raney_value inequality_holds")
 
 
 def raney_bound_report(
@@ -137,7 +134,7 @@ def raney_bound_report(
     n_lo, n_hi = n_range
     if n_lo < 1 or n_hi < n_lo:
         raise InvalidParamsError(f"bad n range {n_range}")
-    _check_params(delta, gamma, n_lo)
+    _check_params(delta, gamma)
     rows = []
     for n, p in enumerate(series_coefficients(delta, gamma, n_hi)[n_lo - 1 :], n_lo):
         c = raney(delta, 1, n + 1)
@@ -145,12 +142,8 @@ def raney_bound_report(
     return rows
 
 
-@dataclass(frozen=True)
-class GrowthRow:
-    n: int
-    p_value: int
-    ratio: Fraction | None
-    nth_root: float
+# ratio is a Fraction, or None in the first row
+GrowthRow = namedtuple("GrowthRow", "n p_value ratio nth_root")
 
 
 def growth_report(delta: int, gamma: int, n_max: int) -> list[GrowthRow]:

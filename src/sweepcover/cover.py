@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 
 from .tree import Tree
 
@@ -96,13 +96,15 @@ def cover_from_json(text: str) -> Cover:
     raise CoverError("expected a JSON array of arrays of node labels")
 
 
-@dataclass(frozen=True)
-class CoverReport:
-    """Verdict of checking a cover against the four defining conditions."""
+class CoverReport(namedtuple("CoverReport", "valid violations witness", defaults=(None,))):
+    """Verdict of checking a cover against the four defining conditions.
 
-    valid: bool
-    violations: tuple[str, ...]
-    witness: tuple[str, ...] | None = None
+    valid: whether all four hold.
+    violations: the names of the conditions that fail, in checking order.
+    witness: node labels showing the first failure, or None.
+    """
+
+    __slots__ = ()
 
 
 def validate(tree: Tree, cover: Cover) -> CoverReport:

@@ -8,7 +8,7 @@ naive exponential reference kept independent of it.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .counting import InvalidParamsError
 from .cover import Cover, validate, max_cover_size

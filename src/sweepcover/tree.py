@@ -18,8 +18,8 @@ leaves among `preorder[i:]`, so the subtree with span (start, end) holds
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping, NoReturn
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 
 from .counting import InvalidParamsError
 
@@ -64,8 +64,8 @@ def _check_label(label: str) -> None:
         raise TreeError(f"node label contains whitespace or '#': {label!r}")
 
 
-def _raise_first_fault(root: str, child_map: Mapping[str, tuple[str, ...]]) -> NoReturn:
-    """Raise for the first fault met walking the edges in their given order.
+def _raise_first_fault(root: str, child_map: Mapping[str, tuple[str, ...]]) -> None:
+    """Raise for the first fault met walking the edges in their given order; never returns.
 
     Called only on edges known to hold a bad or non-string label, a
     repeated child or a root with a parent.
@@ -264,8 +264,7 @@ def serialize_tree(tree: Tree) -> str:
 # -- truncated ILD trees -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class IldSpec:
+class IldSpec(namedtuple("IldSpec", "delta gamma star_levels")):
     """Parameters of a truncated tree of stars joined by constant-length paths.
 
     delta: out-degree of every star node (>= 2).
@@ -273,17 +272,21 @@ class IldSpec:
     star_levels: how many star generations to materialize (>= 1).
     """
 
-    delta: int
-    gamma: int
-    star_levels: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.delta < 2:
-            raise InvalidParamsError(f"delta must be >= 2, got {self.delta}")
-        if self.gamma < 0:
-            raise InvalidParamsError(f"gamma must be >= 0, got {self.gamma}")
-        if self.star_levels < 1:
-            raise InvalidParamsError(f"star_levels must be >= 1, got {self.star_levels}")
+    def __new__(cls, delta: int, gamma: int, star_levels: int) -> IldSpec:
+        if delta < 2:
+            raise InvalidParamsError(f"delta must be >= 2, got {delta}")
+        if gamma < 0:
+            raise InvalidParamsError(f"gamma must be >= 0, got {gamma}")
+        if star_levels < 1:
+            raise InvalidParamsError(f"star_levels must be >= 1, got {star_levels}")
+        return super().__new__(cls, delta, gamma, star_levels)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> IldSpec:
+        # `_replace` builds through `_make`, so it validates too.
+        return cls(*iterable)
 
 
 def build_ild_truncated(spec: IldSpec) -> Tree:

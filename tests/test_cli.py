@@ -375,6 +375,23 @@ class TestReports:
             for r in growth_report(delta, 1, 30):
                 assert r.nth_root == pytest.approx(r.p_value ** (1 / r.n), rel=1e-12)
 
+    # The message names only what the user gave: these commands take no n.
+    @pytest.mark.parametrize("command", ["bound-report", "growth-report"])
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--delta", "1"], "bad parameters delta=1, gamma=0"),
+            (["--delta", "3", "--gamma", "-2"], "bad parameters delta=3, gamma=-2"),
+        ],
+    )
+    def test_bad_parameters_exit_3(self, capsys, command, args, message):
+        code, out, err = run(capsys, command, *args, "--n-max", "3")
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    def test_count_names_its_n(self, capsys):
+        code, out, err = run(capsys, "count", "--delta", "3", "--gamma", "-2", "--n", "4")
+        assert (code, out, err) == (3, "", "error: bad parameters delta=3, gamma=-2, n=4\n")
+
 
 class TestDiscrepancy:
     HEADER = ["n", "recurrence_count", "truncated_search_count"]
