@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import io
 import itertools
 import json
@@ -44,6 +45,11 @@ EXIT_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_PARAMS = 3
 EXIT_INTERNAL = 4
+
+# `discrepancy` holds every cover it searches for; it refuses a run whose
+# recurrence counts sum above this (4,978,688 covers at delta 2, n 10 took
+# about a minute) rather than grow without a bound.
+DISCREPANCY_MAX_COVERS = 10**6
 
 
 def _read_tree(path: str):
@@ -185,6 +191,11 @@ def _cmd_discrepancy(args: argparse.Namespace) -> str:
     """
     spec = IldSpec(args.delta, args.gamma, max(args.n_max, 0) + 1)
     counts = series_coefficients(args.delta, args.gamma + 1, args.n_max)
+    total = sum(counts)
+    if total > DISCREPANCY_MAX_COVERS:
+        raise InvalidParamsError(
+            f"discrepancy would search {total} covers, above the cap of {DISCREPANCY_MAX_COVERS}"
+        )
     tree = build_ild_truncated(spec)
     rows = [(n, want, len(find_sweep_covers(tree, n))) for n, want in enumerate(counts, 1)]
     text = _csv(["n", "recurrence_count", "truncated_search_count"], rows)
@@ -314,10 +325,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # Exact counts can outgrow the interpreter's int-to-str digit limit
-    # (Python >= 3.10.7); lift it while the command runs.
+    # (Python >= 3.10.7); lift it while the command runs.  The cyclic
+    # collector is paused as well: a command's trees, covers and counts
+    # are tuples, frozensets, dicts and ints that hold no reference cycle,
+    # so reference counting frees all of them, and the collector's passes
+    # over the covers being built only cost time.
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         try:
             text, code = args.func(args), EXIT_OK
@@ -343,6 +360,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -232,6 +232,10 @@ class Tree:
 # -- edge-list file format ---------------------------------------------
 
 
+# A comment runs from "#" to the end of its line; removing it keeps the "\n".
+_strip_comments = re.compile(r"#[^\n]*").sub
+
+
 def parse_tree(text: str) -> Tree:
     """Parse a newline-delimited "parent child" edge list into a Tree.
 
@@ -241,11 +245,12 @@ def parse_tree(text: str) -> Tree:
     form feeds, separate fields and do not shift line numbers.
     """
     children: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+    for lineno, line in enumerate(_strip_comments("", text).split("\n"), start=1):
+        fields = line.split()
         if len(fields) != 2:
             if not fields:
                 continue
+            raw = text.split("\n")[lineno - 1]
             raise TreeError(f"line {lineno}: expected 'parent child', got {raw!r}")
         children.setdefault(fields[0], []).append(fields[1])
     if not children:

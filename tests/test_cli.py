@@ -1,12 +1,14 @@
 import argparse
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
 import os
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -21,7 +23,7 @@ from sweepcover.counting import (
 )
 from sweepcover.cover import canonical_blocks, canonical_rows, max_cover_size
 from sweepcover.enumeration import find_sweep_covers
-from sweepcover.tree import Tree, serialize_tree
+from sweepcover.tree import IldSpec, Tree, build_ild_truncated, serialize_tree
 
 STAR = "r a\nr b\n"
 
@@ -436,6 +438,26 @@ class TestDiscrepancy:
         code, out, err = run(capsys, "discrepancy", "--delta", "2", *args)
         assert (code, out, err) == (3, "", f"error: {message}\n")
 
+    def test_refuses_past_cover_cap_at_once(self, capsys, monkeypatch):
+        # 281,026,470 covers at n <= 12; refused before the tree is built.
+        monkeypatch.setattr(cli, "build_ild_truncated", None)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "discrepancy", "--delta", "2", "--n-max", "12")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: discrepancy would search 281026470 covers, above the cap of 1000000\n"
+        )
+
+    def test_cap_admits_its_own_sum(self, capsys, monkeypatch):
+        # delta 2, n_max 4 searches 2 + 4 + 16 + 80 = 102 covers.
+        monkeypatch.setattr(cli, "DISCREPANCY_MAX_COVERS", 102)
+        assert run(capsys, "discrepancy", "--delta", "2", "--n-max", "4")[0] == 0
+        monkeypatch.setattr(cli, "DISCREPANCY_MAX_COVERS", 101)
+        code, out, err = run(capsys, "discrepancy", "--delta", "2", "--n-max", "4")
+        assert (code, out) == (3, "")
+        assert err == "error: discrepancy would search 102 covers, above the cap of 101\n"
+
     def test_star_levels_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["discrepancy", "--delta", "2", "--n-max", "2", "--star-levels", "3"])
@@ -563,3 +585,88 @@ def test_shared_parser_keeps_no_state_between_commands(capsys, tmp_path, monkeyp
     second = [outcome(argv) for argv in reversed(argvs)]
     assert second[::-1] == first
     assert built == []
+
+
+# -- the cyclic collector is paused for a command, then restored -------
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def gc_state(request):
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def _mismatch(monkeypatch, tmp_path):
+    real = cli.series_coefficients
+    monkeypatch.setattr(cli, "series_coefficients", lambda d, g, n: real(d, g, n)[:-1] + [0])
+    return ["discrepancy", "--delta", "2", "--n-max", "3"]
+
+
+def _bad_tree(monkeypatch, tmp_path):
+    (tmp_path / "bad.tree").write_text("r a\ns a\n")
+    return ["enumerate", "--tree", str(tmp_path / "bad.tree"), "--n", "1"]
+
+
+def _unwritable_out(monkeypatch, tmp_path):
+    return _argv("count", tmp_path) + ["--out", str(tmp_path / "no-such-dir" / "out.txt")]
+
+
+def _broken_command(monkeypatch, tmp_path):
+    def broken(tree, n):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "find_sweep_covers", broken)
+    return _argv("enumerate", tmp_path)
+
+
+EXIT_PATHS = {
+    "ok": (0, lambda monkeypatch, tmp_path: _argv("count", tmp_path)),
+    "mismatch": (1, _mismatch),
+    "bad-tree": (2, _bad_tree),
+    "unwritable-out": (2, _unwritable_out),
+    "bad-params": (3, lambda monkeypatch, tmp_path: ["count", "--delta", "1", "--n", "3"]),
+    "internal": (4, _broken_command),
+    "usage": ("SystemExit(2)", lambda monkeypatch, tmp_path: ["count", "--delta", "3"]),
+}
+
+
+@pytest.mark.parametrize("path", sorted(EXIT_PATHS))
+def test_every_exit_path_restores_the_collector(capsys, monkeypatch, tmp_path, gc_state, path):
+    want, make_argv = EXIT_PATHS[path]
+    argv = make_argv(monkeypatch, tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = f"SystemExit({exc.code})"
+    capsys.readouterr()
+    assert code == want
+    assert gc.isenabled() is gc_state
+
+
+@pytest.mark.parametrize("gc_state", [True], ids=["gc-enabled"], indirect=True)
+def test_no_collection_runs_during_a_command(capsys, tmp_path, gc_state):
+    tree = build_ild_truncated(IldSpec(3, 0, 3))
+    path = tmp_path / "ild.tree"
+    path.write_text(serialize_tree(tree))
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(hook)
+    try:
+        code = main(["enumerate", "--tree", str(path), "--n", "8"])
+        during = len(starts)
+        rows = canonical_rows(find_sweep_covers(tree, 8))
+    finally:
+        gc.callbacks.remove(hook)
+    out = capsys.readouterr().out
+    assert (code, during) == (0, 0)
+    # The same search with the collector running does start collections,
+    # so the hook would have seen them, and gives the same covers.
+    assert len(starts) > 0
+    assert len(rows) == 22_977
+    assert out == "".join(cover + "\n" for _, cover in rows)
