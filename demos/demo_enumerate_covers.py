@@ -5,6 +5,8 @@ of the tree is in the cover or is an ancestor/descendant of a covered node,
 and no two covered nodes are related by ancestry.
 """
 
+import json
+
 from sweepcover import (
     all_sweep_covers,
     brute_force_covers,
@@ -30,9 +32,12 @@ def main():
 
     for n in range(1, max_cover_size(tree) + 1):
         covers = find_sweep_covers(tree, n)
+        # blocks: each distinct block once, in label order; ranked: each
+        # cover as the sorted indices of its blocks, covers in that order.
+        blocks, ranked = canonical_rows(covers)
         print(f"covers of size {n}:")
-        for _, text in canonical_rows(covers):
-            print("   ", text)
+        for ranks in ranked:
+            print("   ", json.dumps([blocks[r] for r in ranks]), "  block ranks", ranks)
         # the naive exhaustive search agrees
         assert covers == brute_force_covers(tree, n)
 

@@ -80,33 +80,34 @@ def _parse_range(text: str) -> tuple[int, int]:
 # -- command implementations -------------------------------------------
 
 
-def _enumerate_json(n: int, rows: list[tuple[tuple[tuple[str, ...], ...], str]]) -> str:
+def _enumerate_json(n: int, blocks: list[tuple[str, ...]], ranked: list[list[int]]) -> str:
     """`json.dumps({"n": ..., "count": ..., "covers": ...}, indent=2) + "\\n"`, byte for byte.
 
     The indenting encoder is pure Python and encodes every label of every
-    cover; here each distinct block is laid out once, and a cover is one
+    cover; here each block is laid out once, by rank, and a cover is one
     join of those texts.
     """
-    distinct = set(itertools.chain.from_iterable(blocks for blocks, _ in rows))
-    laid_out = {
-        b: "      [\n" + ",\n".join("        " + json.dumps(v) for v in b) + "\n      ]"
-        for b in distinct
-    }
+    laid_out = [
+        "      [\n" + ",\n".join("        " + json.dumps(v) for v in b) + "\n      ]"
+        for b in blocks
+    ]
     covers = ",\n".join(
-        "    [\n" + ",\n".join(map(laid_out.__getitem__, blocks)) + "\n    ]" for blocks, _ in rows
+        "    [\n" + ",\n".join(map(laid_out.__getitem__, ranks)) + "\n    ]" for ranks in ranked
     )
-    body = "[\n" + covers + "\n  ]" if rows else "[]"
-    return f'{{\n  "n": {n},\n  "count": {len(rows)},\n  "covers": {body}\n}}\n'
+    body = "[\n" + covers + "\n  ]" if ranked else "[]"
+    return f'{{\n  "n": {n},\n  "count": {len(ranked)},\n  "covers": {body}\n}}\n'
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> str:
     tree = _read_tree(args.tree)
-    rows = canonical_rows(find_sweep_covers(tree, args.n))
+    blocks, ranked = canonical_rows(find_sweep_covers(tree, args.n))
     if args.format == "json":
-        return _enumerate_json(args.n, rows)
+        return _enumerate_json(args.n, blocks, ranked)
+    texts = list(map(json.dumps, blocks))
+    lines = ["[" + ", ".join(map(texts.__getitem__, ranks)) + "]" for ranks in ranked]
     if args.format == "csv":
-        return _csv(["size", "cover"], ([args.n, cover] for _, cover in rows))
-    return "".join(cover + "\n" for _, cover in rows)
+        return _csv(["size", "cover"], zip(itertools.repeat(args.n), lines))
+    return "\n".join([*lines, ""])
 
 
 def _cmd_validate(args: argparse.Namespace) -> str:
@@ -190,11 +191,15 @@ def _cmd_discrepancy(args: argparse.Namespace) -> str:
     n_max + 1 star levels hold every cover of size n_max or less.
     """
     spec = IldSpec(args.delta, args.gamma, max(args.n_max, 0) + 1)
-    counts = series_coefficients(args.delta, args.gamma + 1, args.n_max)
+    # Counts grow with delta and gamma, and at delta 2, gamma 0 sizes 1..16
+    # alone sum to 737,154,146,214, so one short solve refuses a larger n_max.
+    counts = series_coefficients(args.delta, args.gamma + 1, min(args.n_max, 16))
     total = sum(counts)
     if total > DISCREPANCY_MAX_COVERS:
+        least = "at least " if args.n_max > 16 else ""
         raise InvalidParamsError(
-            f"discrepancy would search {total} covers, above the cap of {DISCREPANCY_MAX_COVERS}"
+            f"discrepancy would search {least}{total} covers, "
+            f"above the cap of {DISCREPANCY_MAX_COVERS}"
         )
     tree = build_ild_truncated(spec)
     rows = [(n, want, len(find_sweep_covers(tree, n))) for n, want in enumerate(counts, 1)]

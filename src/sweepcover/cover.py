@@ -13,7 +13,6 @@ from collections.abc import Iterable, Mapping
 
 from .tree import Tree
 
-Block = frozenset
 Cover = frozenset
 
 
@@ -49,36 +48,25 @@ def make_cover(blocks: Iterable[Iterable[str]]) -> Cover:
     return cover
 
 
-def cover_nodes(cover: Cover) -> frozenset[str]:
-    return frozenset().union(*cover) if cover else frozenset()
-
-
 def canonical_blocks(cover: Cover) -> tuple[tuple[str, ...], ...]:
     """Deterministic ordering: sorted tuples of sorted labels."""
     return tuple(sorted(tuple(sorted(b)) for b in cover))
 
 
-def canonical_rows(covers: Iterable[Cover]) -> list[tuple[tuple[tuple[str, ...], ...], str]]:
-    """Covers in canonical order, each as its `canonical_blocks` and its JSON text.
+def canonical_rows(covers: Iterable[Cover]) -> tuple[list[tuple[str, ...]], list[list[int]]]:
+    """(blocks, ranked): the distinct blocks and the covers, in canonical order.
 
-    Each distinct block is sorted and JSON-encoded once per call; a cover
-    then costs a sort of its block ranks and one join of cached texts.
-    Blocks are ranked in canonical order, so sorting covers by their rank
-    tuples sorts them by `canonical_blocks`, never by JSON text, whose
+    `blocks` lists each distinct block once, as its sorted label tuple, in
+    sorted order; `ranked` lists each cover as the sorted list of its blocks'
+    indices into `blocks`, in sorted order.  Ranks follow label order, so this
+    is the order of `canonical_blocks`, never that of JSON text, whose
     escaping can order labels differently.
     """
     covers = list(covers)
-    # Distinct blocks have distinct label tuples, so the sort never compares
-    # the frozensets themselves.
-    keyed = sorted((tuple(sorted(b)), b) for b in frozenset().union(*covers))
-    rank = {b: i for i, (_, b) in enumerate(keyed)}
-    keys = [key for key, _ in keyed]
-    texts = [json.dumps(key) for key in keys]
-    ranked = sorted([tuple(sorted(map(rank.__getitem__, c))) for c in covers])
-    return [
-        (tuple(map(keys.__getitem__, r)), "[" + ", ".join(map(texts.__getitem__, r)) + "]")
-        for r in ranked
-    ]
+    distinct = sorted(frozenset().union(*covers), key=sorted)
+    rank = {b: i for i, b in enumerate(distinct)}
+    ranked = sorted([sorted(map(rank.__getitem__, c)) for c in covers])
+    return [tuple(sorted(b)) for b in distinct], ranked
 
 
 def cover_from_json(text: str) -> Cover:
@@ -115,7 +103,7 @@ def validate(tree: Tree, cover: Cover) -> CoverReport:
     tree nodes, to name that node.  A member that is not a tree node raises
     `UnknownNodeError` from the tree.
     """
-    members = cover_nodes(cover)
+    members = frozenset().union(*cover)
     if not members <= tree.nodes:
         # The first unknown member in canonical order raises.
         tree.span(next(v for b in canonical_blocks(cover) for v in b if v not in tree))
@@ -149,7 +137,7 @@ def validate(tree: Tree, cover: Cover) -> CoverReport:
     leaves_from = tree.leaves_from
     nested = []
     reach = leaves = 0
-    for start, end in sorted(map(tree.span, members)):
+    for start, end in tree.spans(members):
         if start < reach:
             nested.append(tree.preorder[start])
         else:

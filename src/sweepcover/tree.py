@@ -166,6 +166,13 @@ class Tree:
         self._require(v)
         return self._span[v]
 
+    def spans(self, vs: Iterable[str]) -> list[tuple[int, int]]:
+        """The spans of the labels in vs, sorted: `sorted(map(self.span, vs))`."""
+        try:
+            return sorted(map(self._span.__getitem__, vs))
+        except KeyError as exc:
+            raise UnknownNodeError(f"unknown node {exc.args[0]!r}") from None
+
     def leaf_count(self, v: str) -> int:
         """Number of leaves in v's subtree (1 when v is a leaf)."""
         start, end = self.span(v)
@@ -207,7 +214,7 @@ class Tree:
         ancestors: set[str] = set()
         descendants: set[str] = set()
         reach = 0
-        for start, end in sorted({self.span(v) for v in vs}):
+        for start, end in self.spans(vs):
             p = self._parent.get(self.preorder[start])
             while p is not None and p not in ancestors:
                 ancestors.add(p)

@@ -21,7 +21,7 @@ from sweepcover.counting import (
     p_count,
     series_coefficients,
 )
-from sweepcover.cover import canonical_blocks, canonical_rows, max_cover_size
+from sweepcover.cover import canonical_blocks, canonical_rows, make_cover, max_cover_size
 from sweepcover.enumeration import find_sweep_covers
 from sweepcover.tree import IldSpec, Tree, build_ild_truncated, serialize_tree
 
@@ -142,6 +142,32 @@ def formatted_by_definition(covers, n, fmt):
     return "".join(json.dumps(c) + "\n" for c in listed)
 
 
+def test_canonical_rows_orders_blocks_by_labels_not_json():
+    # Each pair orders the other way round as JSON text.
+    pairs = [("a", "a!"), ('"', "$"), ("z", "é")]
+    assert all(json.dumps([hi]) < json.dumps([lo]) for lo, hi in pairs)
+    covers = [make_cover([[hi], [lo]]) for lo, hi in pairs]
+    covers += [make_cover([[lo, hi]]) for lo, hi in pairs]
+    blocks, ranked = canonical_rows(reversed(covers))
+    assert blocks == [('"',), ('"', "$"), ("$",), ("a",), ("a", "a!"), ("a!",),
+                      ("z",), ("z", "é"), ("é",)]
+    assert ranked == [[0, 2], [1], [3, 5], [4], [6, 8], [7]]
+    assert canonical_rows([]) == ([], [])
+
+
+@settings(max_examples=30, deadline=None)
+@given(tricky_trees())
+def test_canonical_rows_ranks_index_sorted_blocks(tree):
+    for n in range(1, max_cover_size(tree) + 1):
+        covers = find_sweep_covers(tree, n)
+        blocks, ranked = canonical_rows(covers)
+        assert blocks == sorted({b for c in covers for b in canonical_blocks(c)})
+        assert all(ranks == sorted(ranks) for ranks in ranked)
+        assert ranked == sorted(ranked)
+        listed = [tuple(blocks[r] for r in ranks) for ranks in ranked]
+        assert listed == sorted(map(canonical_blocks, covers))
+
+
 @settings(max_examples=60, deadline=None)
 @given(tricky_trees())
 def test_enumerate_output_matches_definition(tree):
@@ -152,8 +178,8 @@ def test_enumerate_output_matches_definition(tree):
         for n in range(1, max_cover_size(tree) + 1):
             covers = find_sweep_covers(tree, n)
             for c in covers:
-                want = json.dumps([list(b) for b in canonical_blocks(c)])
-                assert canonical_rows([c])[0][1] == want
+                blocks, (ranks,) = canonical_rows([c])
+                assert tuple(blocks[r] for r in ranks) == canonical_blocks(c)
             for fmt in ("text", "json", "csv"):
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
@@ -449,6 +475,31 @@ class TestDiscrepancy:
             "error: discrepancy would search 281026470 covers, above the cap of 1000000\n"
         )
 
+    def test_refuses_a_large_n_max_after_a_short_solve(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_ild_truncated", None)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "discrepancy", "--delta", "2", "--n-max", "2000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+        # Sizes 1..16 alone, a lower bound on what n_max 2000 would search.
+        prefix = sum(series_coefficients(2, 1, 16))
+        assert prefix == 737_154_146_214
+        assert err == (
+            f"error: discrepancy would search at least {prefix} covers, "
+            "above the cap of 1000000\n"
+        )
+
+    @pytest.mark.parametrize("delta,gamma", [(2, 0), (3, 0), (2, 5), (9, 29)])
+    def test_refusal_past_16_is_a_true_lower_bound(self, capsys, delta, gamma):
+        code, out, err = run(
+            capsys, "discrepancy", "--delta", str(delta), "--gamma", str(gamma), "--n-max", "17"
+        )
+        assert (code, out) == (3, "")
+        prefix = sum(series_coefficients(delta, gamma + 1, 16))
+        assert prefix < sum(series_coefficients(delta, gamma + 1, 17))
+        assert f"at least {prefix} covers" in err
+
     def test_cap_admits_its_own_sum(self, capsys, monkeypatch):
         # delta 2, n_max 4 searches 2 + 4 + 16 + 80 = 102 covers.
         monkeypatch.setattr(cli, "DISCREPANCY_MAX_COVERS", 102)
@@ -660,7 +711,7 @@ def test_no_collection_runs_during_a_command(capsys, tmp_path, gc_state):
     try:
         code = main(["enumerate", "--tree", str(path), "--n", "8"])
         during = len(starts)
-        rows = canonical_rows(find_sweep_covers(tree, 8))
+        blocks, ranked = canonical_rows(find_sweep_covers(tree, 8))
     finally:
         gc.callbacks.remove(hook)
     out = capsys.readouterr().out
@@ -668,5 +719,5 @@ def test_no_collection_runs_during_a_command(capsys, tmp_path, gc_state):
     # The same search with the collector running does start collections,
     # so the hook would have seen them, and gives the same covers.
     assert len(starts) > 0
-    assert len(rows) == 22_977
-    assert out == "".join(cover + "\n" for _, cover in rows)
+    assert len(ranked) == 22_977
+    assert out == "".join(json.dumps([blocks[r] for r in ranks]) + "\n" for ranks in ranked)

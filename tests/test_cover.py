@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -192,7 +193,8 @@ def test_max_cover_size():
 
 def test_cover_json_round_trip():
     cover = make_cover([["c", "d"], ["b"]])
-    text = canonical_rows([cover])[0][1]
+    blocks, (ranks,) = canonical_rows([cover])
+    text = json.dumps([blocks[r] for r in ranks])
     assert cover_from_json(text) == cover
     assert text == '[["b"], ["c", "d"]]'
 

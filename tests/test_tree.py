@@ -211,6 +211,12 @@ class TestQueries:
         assert t.preorder[start] == "a"
         assert set(t.preorder[start:end]) == {"a", "c", "d"}
 
+    def test_spans_unknown_label(self):
+        t = parse_tree("r a\nr b")
+        with pytest.raises(UnknownNodeError, match="'zz'"):
+            t.spans(["a", "zz", "b"])
+        assert t.spans([]) == []
+
     def test_depth_parent_invariant(self):
         t = parse_tree("r a\nr b\na c\nc d")
         for v in t.nodes:
@@ -313,6 +319,9 @@ def test_random_attachment_tree_invariants(parent_picks):
         assert t.leaves_from[start] - t.leaves_from[end] == t.leaf_count(v)
     assert t.leaves_from[0] == t.leaf_count(t.root) == len(t.leaves())
     assert t.leaves_from[len(t)] == 0
+    # Any labels, repeats included, from a list or an iterator.
+    vs = [labels[pick % len(labels)] for pick in parent_picks]
+    assert t.spans(vs) == t.spans(iter(vs)) == sorted(map(t.span, vs))
     again = parse_tree(serialize_tree(t))
     assert again.nodes == t.nodes and set(again.edges()) == set(t.edges())
 
