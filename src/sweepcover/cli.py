@@ -8,11 +8,14 @@ files, or an unwritable --out) or a malformed command line (argparse exits
 with the usage on stderr), 3 parameter validation failure, 4 internal
 error (any other exception).  Output is deterministic; JSON carries big
 integers as decimal strings.
+
+`COMMANDS` declares each command once: its help line, function and options.
+`main` reads a plain `command --flag value ...` line from that table alone;
+any other argv goes to the argparse parser `build_parser` makes from it.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import gc
@@ -21,6 +24,7 @@ import itertools
 import json
 import sys
 from collections.abc import Iterable, Sequence
+from types import SimpleNamespace
 
 from .corpus import all_rooted_trees, random_labeled_tree
 from .counting import (
@@ -98,7 +102,7 @@ def _enumerate_json(n: int, blocks: list[tuple[str, ...]], ranked: list[list[int
     return f'{{\n  "n": {n},\n  "count": {len(ranked)},\n  "covers": {body}\n}}\n'
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> str:
+def _cmd_enumerate(args: SimpleNamespace) -> str:
     tree = _read_tree(args.tree)
     blocks, ranked = canonical_rows(find_sweep_covers(tree, args.n))
     if args.format == "json":
@@ -110,7 +114,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> str:
     return "\n".join([*lines, ""])
 
 
-def _cmd_validate(args: argparse.Namespace) -> str:
+def _cmd_validate(args: SimpleNamespace) -> str:
     tree = _read_tree(args.tree)
     with open(args.cover, encoding="utf-8") as fh:
         cover = cover_from_json(fh.read())
@@ -129,7 +133,7 @@ def _cmd_validate(args: argparse.Namespace) -> str:
     return text
 
 
-def _cmd_count(args: argparse.Namespace) -> str:
+def _cmd_count(args: SimpleNamespace) -> str:
     value = p_count(args.delta, args.gamma, args.n)
     if args.format == "json":
         payload = {"delta": args.delta, "gamma": args.gamma, "n": args.n, "value": str(value)}
@@ -137,7 +141,7 @@ def _cmd_count(args: argparse.Namespace) -> str:
     return f"{value}\n"
 
 
-def _cmd_table(args: argparse.Namespace) -> str:
+def _cmd_table(args: SimpleNamespace) -> str:
     table = p_table(_parse_range(args.delta_range), (1, args.n_max), args.gamma)
     ns = list(range(1, args.n_max + 1))
     if args.format == "json":
@@ -156,7 +160,7 @@ def _cmd_table(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_bound_report(args: argparse.Namespace) -> str:
+def _cmd_bound_report(args: SimpleNamespace) -> str:
     rows = raney_bound_report(args.delta, args.gamma, (1, args.n_max))
     if args.format == "json":
         payload = [
@@ -175,7 +179,7 @@ def _cmd_bound_report(args: argparse.Namespace) -> str:
     )
 
 
-def _cmd_growth_report(args: argparse.Namespace) -> str:
+def _cmd_growth_report(args: SimpleNamespace) -> str:
     rows = [
         [r.n, r.p_value, "" if r.ratio is None else f"{float(r.ratio):.6g}", f"{r.nth_root:.6g}"]
         for r in growth_report(args.delta, args.gamma, args.n_max)
@@ -183,7 +187,7 @@ def _cmd_growth_report(args: argparse.Namespace) -> str:
     return _csv(["n", "p", "ratio", "nth_root"], rows)
 
 
-def _cmd_discrepancy(args: argparse.Namespace) -> str:
+def _cmd_discrepancy(args: SimpleNamespace) -> str:
     """The recurrence beside the search on a finite truncation, row by row.
 
     The recurrence counts gamma in path nodes and `IldSpec.gamma` in path
@@ -240,95 +244,100 @@ def run_oracle_check(
     return len(trees) * n_max, mismatches
 
 
-def _cmd_oracle_check(args: argparse.Namespace) -> str:
+def _cmd_oracle_check(args: SimpleNamespace) -> str:
     checked, mismatches = run_oracle_check(args.max_nodes, args.n_max)
     if mismatches:
         raise _Mismatch(f"MISMATCH: {mismatches[0]}\n")
     return f"all {checked} tree/size pairs match\n"
 
 
-# -- parser ------------------------------------------------------------
+# -- command table and parsers -----------------------------------------
+
+REQUIRED = ...  # the default of an option that every command line must give
+
+
+def _io(*formats: str) -> tuple:
+    # --format defaults to "text" even where that is no choice; those commands then print CSV.
+    return ("--format", formats, "text", None), ("--out", str, None, "output path (default stdout)")
+
+
+_TREE, _N = ("--tree", str, REQUIRED, None), ("--n", int, REQUIRED, None)
+_DELTA, _GAMMA = ("--delta", int, REQUIRED, None), ("--gamma", int, 0, None)
+_N_MAX = ("--n-max", int, REQUIRED, None)
+_COVER = ("--cover", str, REQUIRED, "JSON array of arrays of node labels")
+_DELTA_RANGE = ("--delta-range", str, REQUIRED, "A..B (or a single value)")
+_MAX_NODES = ("--max-nodes", int, REQUIRED, None)
+
+# name -> (help, function, *options in help order); an option is (flag, kind,
+# default, help), where kind is int, str or a tuple of choices.
+COMMANDS = {
+    "enumerate": ("list all sweep-covers of a given size",
+                  _cmd_enumerate, _TREE, _N, *_io("text", "json", "csv")),
+    "validate": ("check a cover against the four conditions",
+                 _cmd_validate, _TREE, _COVER, *_io("text", "json")),
+    "count": ("exact count for one (delta, gamma, n)",
+              _cmd_count, _DELTA, _GAMMA, _N, *_io("text", "json")),
+    "table": ("grid of exact counts over delta and n",
+              _cmd_table, _DELTA_RANGE, _N_MAX, _GAMMA, *_io("text", "json", "csv")),
+    "bound-report": ("counts vs Raney lower-bound values",
+                     _cmd_bound_report, _DELTA, _GAMMA, _N_MAX, *_io("csv", "json")),
+    "growth-report": ("growth-ratio diagnostics for the counts",
+                      _cmd_growth_report, _DELTA, _GAMMA, _N_MAX, *_io("csv")),
+    "discrepancy": ("recurrence counts beside the search on a finite truncation",
+                    _cmd_discrepancy, _DELTA, _GAMMA, _N_MAX, *_io("csv")),
+    "oracle-check": ("recursive search vs brute force on small trees",
+                     _cmd_oracle_check, _MAX_NODES, _N_MAX, *_io("text")),
+}
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """Return the one parser this process shares; callers must not change it.
+def build_parser():
+    """The one argparse parser this process shares, built from `COMMANDS`; callers
+    must not change it.  `parse_args` keeps no state between calls."""
+    import argparse  # only for help, usage errors and argvs that `_plain_args` declines
 
-    It is built on the first call (the first `main`, not at import) and
-    reused after that: `parse_args` keeps no state between calls, so every
-    call still gets a fresh namespace and the same output.
-    """
     parser = argparse.ArgumentParser(
         prog="sweepcover",
         description="Enumerate, validate, and count sweep-covers on rooted trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, formats=("text", "json", "csv")) -> None:
-        p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-
-    p = sub.add_parser("enumerate", help="list all sweep-covers of a given size")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--n", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("validate", help="check a cover against the four conditions")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--cover", required=True, help="JSON array of arrays of node labels")
-    add_common(p, formats=("text", "json"))
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("count", help="exact count for one (delta, gamma, n)")
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--gamma", type=int, default=0)
-    p.add_argument("--n", type=int, required=True)
-    add_common(p, formats=("text", "json"))
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("table", help="grid of exact counts over delta and n")
-    p.add_argument("--delta-range", required=True, help="A..B (or a single value)")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--gamma", type=int, default=0)
-    add_common(p)
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("bound-report", help="counts vs Raney lower-bound values")
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--gamma", type=int, default=0)
-    p.add_argument("--n-max", type=int, required=True)
-    add_common(p, formats=("csv", "json"))
-    p.set_defaults(func=_cmd_bound_report)
-
-    p = sub.add_parser("growth-report", help="growth-ratio diagnostics for the counts")
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--gamma", type=int, default=0)
-    p.add_argument("--n-max", type=int, required=True)
-    add_common(p, formats=("csv",))
-    p.set_defaults(func=_cmd_growth_report)
-
-    p = sub.add_parser(
-        "discrepancy",
-        help="recurrence counts beside the search on a finite truncation",
-    )
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--gamma", type=int, default=0)
-    p.add_argument("--n-max", type=int, required=True)
-    add_common(p, formats=("csv",))
-    p.set_defaults(func=_cmd_discrepancy)
-
-    p = sub.add_parser("oracle-check", help="recursive search vs brute force on small trees")
-    p.add_argument("--max-nodes", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    add_common(p, formats=("text",))
-    p.set_defaults(func=_cmd_oracle_check)
-
+    for name, (summary, func, *options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, kind, default, help_text in options:
+            choices, required = (kind if isinstance(kind, tuple) else None), default is REQUIRED
+            p.add_argument(flag, type=None if choices else kind, choices=choices, help=help_text,
+                           required=required, default=None if required else default)
+        p.set_defaults(func=func)
     return parser
 
 
+def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """What `build_parser().parse_args(argv)` returns, for `command --flag value ...` only:
+    exact flags, no value starting with "-", and values and required flags as argparse
+    checks them.  Any other argv ("--del 3", "--n=3", "--", "-3", "-h") gives None."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    _, func, *options = COMMANDS[argv[0]]
+    kinds = {flag: kind for flag, kind, _, _ in options}
+    values = {flag: default for flag, _, default, _ in options}
+    try:
+        for flag, value in zip(argv[1::2], argv[2::2]):
+            kind = kinds[flag]
+            if value.startswith("-") or isinstance(kind, tuple) and value not in kind:
+                return None
+            values[flag] = value if isinstance(kind, tuple) else kind(value)
+    except (KeyError, ValueError):
+        return None
+    if REQUIRED in values.values():
+        return None
+    dests = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+    return SimpleNamespace(command=argv[0], func=func, **dests)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     # Exact counts can outgrow the interpreter's int-to-str digit limit
     # (Python >= 3.10.7); lift it while the command runs.  The cyclic
     # collector is paused as well: a command's trees, covers and counts

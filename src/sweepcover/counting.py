@@ -5,7 +5,8 @@ display concern for callers.  The central quantity is ``p_count(delta,
 gamma, n)``, the number of sweep-covers of size n on the infinite tree of
 delta-stars joined by gamma-edge paths: coefficient n of one power series,
 solved from its algebraic equation one coefficient at a time at
-O(delta * n^2) big-integer multiplies, with no recursion and no cache.
+O(min(delta, n) * n^2) big-integer multiplies, plus O(delta * min(delta, n))
+for the Stirling rows, with no recursion and no cache.
 """
 
 from __future__ import annotations
@@ -24,14 +25,16 @@ class NonIntegerResultError(ArithmeticError):
     """The Raney formula division did not come out exact."""
 
 
-def _nonsingleton_rows(n_max: int, m_max: int) -> list[list[int]]:
-    """``R[n][m]`` = count_nonsingleton(n, m) for n <= n_max, m <= m_max, by
-    the associated Stirling recurrence R(n, m) = m*R(n-1, m) + (n-1)*R(n-2, m-1).
-    """
+def _nonsingleton_rows(n_max: int, m_max: int) -> list[list[int] | None]:
+    """``R[n][m]`` = count_nonsingleton(n, m) for n_max - m_max <= n <= n_max and m <= m_max
+    (earlier rows are None), by the associated Stirling recurrence
+    R(n, m) = m*R(n-1, m) + (n-1)*R(n-2, m-1)."""
     rows = [[1] + [0] * m_max, [0] * (m_max + 1)]
     for n in range(2, n_max + 1):
         a, b = rows[n - 1], rows[n - 2]
         rows.append([0] + [m * a[m] + (n - 1) * b[m - 1] for m in range(1, m_max + 1)])
+        if n - 2 < n_max - m_max:
+            rows[n - 2] = None
     return rows
 
 
@@ -72,25 +75,27 @@ def series_coefficients(delta: int, gamma: int, n_max: int) -> list[int]:
     children each head a copy of the whole tree, and the other delta - l
     children split into non-singleton blocks.  As delta >= 2, coefficient n
     of the right side needs only coefficients of P below n, so the truncated
-    powers P^1..P^delta grow one coefficient at a time.
+    powers P^1..P^min(delta, n_max) grow one coefficient at a time.
     """
     if n_max < 1:
         raise InvalidParamsError(f"n_max must be >= 1, got {n_max}")
     _check_params(delta, gamma)
-    R = _nonsingleton_rows(delta, delta)
+    # P^l starts at x^l, so no term with l or r above n_max reaches x^n_max.
+    top = min(delta, n_max)
+    R = _nonsingleton_rows(delta, top)
     # (l, r, coefficient of x^r * P^l on the right side)
     terms = [
         (l, r, comb(delta, l) * R[delta - l][r])
-        for l in range(delta + 1)
-        for r in range(delta - l + 1)
+        for l in range(top + 1)
+        for r in range(min(delta - l, top) + 1)
         if R[delta - l][r]
     ]
     # powers[l][k] is the coefficient of x^k in P(x)^l
-    powers = [[1] + [0] * n_max] + [[0] * (n_max + 1) for _ in range(delta)]
+    powers = [[1] + [0] * n_max] + [[0] * (n_max + 1) for _ in range(top)]
     P = powers[1]
     P[1] = gamma
     for n in range(1, n_max + 1):
-        for l in range(2, delta + 1):
+        for l in range(2, top + 1):
             powers[l][n] = sum(map(mul, P[1:n], powers[l - 1][n - 1 : 0 : -1]))
         P[n] += sum(w * powers[l][n - r] for l, r, w in terms if r <= n)
     return P[1:]

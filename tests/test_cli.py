@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -636,6 +637,98 @@ def test_shared_parser_keeps_no_state_between_commands(capsys, tmp_path, monkeyp
     second = [outcome(argv) for argv in reversed(argvs)]
     assert second[::-1] == first
     assert built == []
+
+
+# -- plain command lines skip argparse; every other one goes to it ------
+
+# Tokens a mutation puts into a valid argv: abbreviations, "--flag=value",
+# help, "--", values that argparse reads as flags or that int() accepts in
+# odd spellings, and choices valid for some commands only.
+ODD_TOKENS = [
+    "--del", "--delta", "--delta=3", "--n=3", "--n-m", "--n-max", "--n", "--gamma", "--g",
+    "--format", "--fo", "--out", "--tree", "--cover", "--max-nodes", "--delta-range",
+    "-h", "--help", "--", "-", "", "-3", "+4", " 5", "3_0", "\u0663", "a b", "3", "2..4",
+    "xml", "text", "json", "csv", "count", "table",
+]
+
+
+@st.composite
+def mutated_argvs(draw):
+    argv = [arg.strip("{}") for arg in OUT_ARGVS[draw(st.sampled_from(sorted(OUT_ARGVS)))]]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        kind = draw(st.sampled_from(["insert", "replace", "delete", "pair", "swap"]))
+        token = draw(st.sampled_from(ODD_TOKENS))
+        if kind == "insert":
+            argv.insert(i, token)
+        elif kind == "pair":  # a flag given twice, or a flag and an odd value
+            argv[i:i] = [draw(st.sampled_from(argv[1::2] or ["--n"])), token]
+        elif i < len(argv):
+            if kind == "replace":
+                argv[i] = token
+            elif kind == "delete":
+                del argv[i]
+            elif i + 3 < len(argv):  # swap two flag-value pairs
+                argv[i : i + 4] = argv[i + 2 : i + 4] + argv[i : i + 2]
+    return argv
+
+
+def _argparse_vars(argv):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def test_valid_argvs_take_the_plain_path():
+    for name in OUT_ARGVS:
+        argv = [arg.strip("{}") for arg in OUT_ARGVS[name]]
+        plain = cli._plain_args(argv)
+        assert plain is not None and vars(plain) == _argparse_vars(argv), argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(mutated_argvs())
+def test_plain_path_agrees_with_argparse(argv):
+    plain = cli._plain_args(argv)
+    event("plain path" if plain is not None else "argparse path")
+    parsed = _argparse_vars(argv)
+    if plain is not None:
+        assert vars(plain) == parsed
+    if parsed is None:
+        assert plain is None
+
+
+IMPORT_SNIPPET = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+from sweepcover.cli import main
+main(["count", "--delta", "3", "--n", "5"])
+main(["validate", "--tree", sys.argv[2], "--cover", sys.argv[3]])
+print("argparse loaded:", "argparse" in sys.modules)
+try:
+    main(["count", "--delta", "3"])
+except SystemExit as exc:
+    print("usage error exits", exc.code)
+main(["count", "--del", "3", "--n", "5"])
+"""
+
+
+def test_plain_commands_never_import_argparse(tmp_path, star_file):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    cover = tmp_path / "cover.json"
+    cover.write_text('[["a"], ["b"]]')
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_SNIPPET, src, star_file, str(cover)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == (
+        "174\nvalid: True\nargparse loaded: False\nusage error exits 2\n174\n"
+    )
+    assert proc.stderr.startswith("usage: sweepcover count ")
 
 
 # -- the cyclic collector is paused for a command, then restored -------

@@ -1,8 +1,13 @@
+import time
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sweepcover.cli import main
 from sweepcover.counting import (
     InvalidParamsError,
     NonIntegerResultError,
@@ -170,3 +175,64 @@ def test_growth_report():
     ]
     assert growth_report(2, 5, 2)[0].p_value == 6
     assert growth_report(3, 0, 3)[-1].p_value == 10
+
+
+def untruncated_series(delta, gamma, n_max):
+    """The series solve without truncation: every (l, r) term, every power P^2..P^delta."""
+    R = [[count_nonsingleton(n, m) for m in range(delta + 1)] for n in range(delta + 1)]
+    terms = [
+        (l, r, comb(delta, l) * R[delta - l][r])
+        for l in range(delta + 1)
+        for r in range(delta - l + 1)
+        if R[delta - l][r]
+    ]
+    powers = [[1] + [0] * n_max] + [[0] * (n_max + 1) for _ in range(delta)]
+    P = powers[1]
+    P[1] = gamma
+    for n in range(1, n_max + 1):
+        for l in range(2, delta + 1):
+            powers[l][n] = sum(map(mul, P[1:n], powers[l - 1][n - 1 : 0 : -1]))
+        P[n] += sum(w * powers[l][n - r] for l, r, w in terms if r <= n)
+    return P[1:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    delta=st.integers(2, 30),
+    gamma=st.integers(0, 3),
+    n_max=st.integers(1, 10),
+)
+def test_truncated_solve_equals_untruncated(delta, gamma, n_max):
+    # Only terms and powers with l, r <= min(delta, n_max) reach x^n_max.
+    assert series_coefficients(delta, gamma, n_max) == untruncated_series(delta, gamma, n_max)
+
+
+def test_solve_cost_does_not_follow_delta_squared():
+    start = time.perf_counter()
+    assert p_count(10**4, 0, 2) == 2 ** (10**4 - 1) - 1
+    assert time.perf_counter() - start < 1.0
+    # Holding all 10^4 Stirling rows would take about 6 MB; only the last
+    # three are needed.
+    tracemalloc.start()
+    try:
+        p_count(10**4, 0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_count_at_delta_800_is_quick(capsys):
+    delta = 800
+    # Coefficient 3 of the series by hand: the (l, r) terms with l + r = 3.
+    p2 = 2 ** (delta - 1) - 1
+    want = (
+        count_nonsingleton(delta, 3)
+        + delta * (count_nonsingleton(delta - 1, 2) + p2)
+        + comb(delta, 2)
+    )
+    start = time.perf_counter()
+    code = main(["count", "--delta", str(delta), "--n", "3"])
+    elapsed = time.perf_counter() - start
+    assert (code, capsys.readouterr().out) == (0, f"{want}\n")
+    assert elapsed < 0.5

@@ -14,8 +14,11 @@ import sweepcover
 
 # Each of these costs start-up time that no command needs: `dataclasses`
 # brings `inspect`, `ast`, `dis` and `tokenize`; `typing` and `random` are
-# used only in annotations or by `oracle-check`.
-UNNEEDED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "random")
+# used only in annotations or by `oracle-check`; `argparse` (with `gettext`)
+# is built only for help, usage errors and command lines that are not plain.
+UNNEEDED = (
+    "dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "random", "argparse", "gettext"
+)
 
 SNIPPET = """\
 import sys
