@@ -12,7 +12,6 @@ for the Stirling rows, with no recursion and no cache.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import comb, exp, log
 from operator import mul
 
@@ -153,6 +152,7 @@ GrowthRow = namedtuple("GrowthRow", "n p_value ratio nth_root")
 
 def growth_report(delta: int, gamma: int, n_max: int) -> list[GrowthRow]:
     """Exact counts with consecutive ratios and n-th roots for eyeballing growth."""
+    from fractions import Fraction  # here, as it loads `decimal` and `numbers`
     if n_max < 2:
         raise InvalidParamsError(f"n_max must be >= 2, got {n_max}")
     rows = []

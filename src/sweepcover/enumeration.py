@@ -1,8 +1,8 @@
 """Explicit enumeration: combinatorial generators and sweep-cover search.
 
 `find_sweep_covers` builds covers children first, in one pass over the
-tree, from the paper's recurrence; `brute_force_covers` is a deliberately
-naive exponential reference kept independent of it.
+tree, from the counting equation's own step; `brute_force_covers` is a
+deliberately naive exponential reference kept independent of it.
 """
 
 from __future__ import annotations
@@ -62,13 +62,29 @@ def set_partitions(
 def nonsingleton_partitions(
     elements: Iterable[str], m: int
 ) -> Iterator[tuple[frozenset[str], ...]]:
-    """Partitions of `elements` into exactly m blocks, each of size >= 2."""
+    """Partitions of `elements` into exactly m blocks, each of size >= 2 (the
+    empty partition alone when both are empty), grown on an explicit stack."""
     items = list(elements)
-    if m < 1 or 2 * m > len(items):
-        return
-    for part in set_partitions(items, m):
-        if len(part) == m and all(len(b) >= 2 for b in part):
-            yield part
+    if m == 0 and not items:
+        yield ()
+    stack = [_open_block((), items, m - 1)] if 1 <= m <= len(items) // 2 else []
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+        elif step[1]:
+            stack.append(_open_block(*step, m - 1 - len(step[0])))
+        else:
+            yield step[0]
+
+
+def _open_block(blocks: tuple, rest: list[str], after: int) -> Iterator[tuple[tuple, list[str]]]:
+    """`blocks` plus each next block, rest[0] with mates that leave two elements
+    for each of the `after` blocks still to open (the last takes all), and the rest."""
+    for size in range(1, len(rest) - 2 * after) if after else [len(rest) - 1]:
+        for mates in itertools.combinations(rest[1:], size):
+            block = frozenset((rest[0], *mates))
+            yield (*blocks, block), [x for x in rest if x not in block]
 
 
 # -- decomposition cover search ----------------------------------------
@@ -81,12 +97,8 @@ def find_sweep_covers(tree: Tree, n: int) -> set[Cover]:
     has one child, every cover of the child's subtree (the linear path),
     and when it has two or more, one cover per partition of its child set:
     the partition's non-singleton blocks joined with one cover of each
-    singleton child's subtree, sizes adding up as an ordered composition.
-
-    Each node keeps only the sizes a cover of the whole tree of size n can
-    use, and subtrees below n or more branching ancestors are never
-    visited, so the cost follows the covers that can reach the root rather
-    than every cover of every subtree.
+    singleton child's subtree.  Only the sizes a cover of size n can use
+    are kept, so the cost follows the covers that can reach the root.
     """
     if n < 1:
         raise InvalidParamsError(f"cover size must be >= 1, got {n}")
@@ -100,6 +112,9 @@ def _search(tree: Tree, lo: int, hi: int) -> dict[int, set[Cover]]:
     cover of v's subtree, and the leaves outside that subtree bound what
     the rest of a cover adds, so v keeps the sizes from lo minus those
     leaves to hi minus those ancestors (and at most its own leaf count).
+    A node with k >= 2 children takes the counting term sum_j e_j(F_c) *
+    Q_{k-j}: each child is folded in as a singleton child of some size (e_j)
+    or grouped, and a group splits into blocks of two or more (Q) as sizes allow.
     """
     total_leaves = tree.leaf_count(tree.root)
     if lo > total_leaves:
@@ -131,28 +146,29 @@ def _search(tree: Tree, lo: int, hi: int) -> dict[int, set[Cover]]:
         if bottom <= 1:
             here.setdefault(1, set()).add(frozenset({frozenset({v})}))
         if len(kids) > 1:
-            below = {c: covers.pop(c, {}) for c in kids}
-            for part in set_partitions(kids, min(top, len(kids))):
-                blocks = frozenset(b for b in part if len(b) > 1)
-                singles = [below[c] for b in part if len(b) == 1 for c in b]
-                # partial: size -> the ways to give each singleton child folded
-                # so far a size, each as the tuple of the pools picked from.
-                partial = {len(blocks): [()]}
-                while singles:
-                    sub = singles.pop()
-                    grown: dict[int, list[tuple[set[Cover], ...]]] = {}
-                    for s, picks in partial.items():
-                        for t, pool in sub.items():
-                            # Each singleton child still to come adds a block.
-                            if s + t <= top - len(singles):
-                                grown.setdefault(s + t, []).extend(p + (pool,) for p in picks)
-                    partial = grown
-                for s, picks in partial.items():
-                    if s >= bottom:
-                        out = here.setdefault(s, set())
+            # ways[(s, grouped)]: each way to give the singleton children folded
+            # so far sizes adding up to s, as the tuple of the pools picked.
+            ways = {(0, ()): [()]}
+            reach = leaves  # leaves below the children not yet folded
+            for c in kids:
+                # c joins `grouped` (no pool), or is a singleton child of size t.
+                options = [(0, None), *covers.pop(c, {}).items()]
+                reach -= tree.leaf_count(c)
+                grown: dict[tuple[int, tuple[str, ...]], list[tuple[set[Cover], ...]]] = {}
+                for (s, grouped), picks in ways.items():
+                    for t, pool in options:
+                        g = grouped if pool else grouped + (c,)
+                        # Kept only while some completion can land in [bottom, top].
+                        if s + t + reach + len(g) // 2 >= bottom and s + t + bool(g) <= top:
+                            more = [p + (pool,) for p in picks] if pool else picks
+                            grown.setdefault((s + t, g), []).extend(more)
+                ways = grown
+            for (s, grouped), picks in ways.items():
+                for r in range(max(bottom - s, 0), min(top - s, len(grouped) // 2) + 1):
+                    for part in nonsingleton_partitions(grouped, r):
+                        blocks, out = frozenset(part), here.setdefault(s + r, set())
                         for pools in picks:
-                            combos = itertools.product(*pools)
-                            out.update(blocks.union(*combo) for combo in combos)
+                            out.update(blocks.union(*combo) for combo in itertools.product(*pools))
         covers[v] = here
     found = covers[tree.root]
     return {s: found.get(s, set()) for s in range(lo, hi + 1)}

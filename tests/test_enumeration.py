@@ -1,10 +1,10 @@
 import itertools
+import time
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sweepcover import enumeration
 from sweepcover.corpus import all_rooted_trees, rooted_tree_codes, tree_from_code
 from sweepcover.counting import InvalidParamsError, count_nonsingleton
 from sweepcover.cover import make_cover, max_cover_size, validate
@@ -111,10 +111,41 @@ class TestNonsingletonPartitions:
     def test_counts_match_formula(self):
         for n in range(11):
             items = [str(i) for i in range(n)]
-            for m in range(1, 6):
+            for m in range(6):
                 assert sum(1 for _ in nonsingleton_partitions(items, m)) == count_nonsingleton(
                     n, m
                 ), (n, m)
+
+    def test_empty_partition_only_of_no_elements(self):
+        assert list(nonsingleton_partitions([], 0)) == [()]
+        assert list(nonsingleton_partitions(["a", "b"], 0)) == []
+
+    def test_matches_filtered_set_partitions(self):
+        # The reference: every partition into at most m blocks, kept when it
+        # has exactly m blocks of two or more.  The generator's order is its
+        # own, so compare as sets.
+        for n in range(1, 10):
+            items = [str(i) for i in range(n)]
+            for m in range(5):
+                want = {
+                    frozenset(p)
+                    for p in set_partitions(items, m)
+                    if len(p) == m and all(len(b) >= 2 for b in p)
+                }
+                got = list(nonsingleton_partitions(items, m))
+                assert all(len(p) == m for p in got), (n, m)
+                assert len({frozenset(p) for p in got}) == len(got), (n, m)
+                assert {frozenset(p) for p in got} == want, (n, m)
+
+    def test_twelve_into_six_pairs(self):
+        # 11!! = 10,395 perfect matchings, generated directly rather than
+        # filtered out of Bell(12) = 4,213,597 set partitions.
+        items = [str(i) for i in range(12)]
+        start = time.perf_counter()
+        got = list(nonsingleton_partitions(items, 6))
+        assert time.perf_counter() - start < 1.0
+        assert len(got) == len({frozenset(p) for p in got}) == 10395
+        assert all(len(b) == 2 for p in got for b in p)
 
 
 class TestFindSweepCovers:
@@ -130,14 +161,22 @@ class TestFindSweepCovers:
         t = parse_tree("r a\nr b")
         assert find_sweep_covers(t, 3) == set()
 
-    def test_beyond_max_size_walks_no_partition(self, monkeypatch):
-        # A 25-leaf star has Bell(25) ~ 4.6e18 partitions of its children.
-        def fail(*_):
-            raise AssertionError("set_partitions called for a size above the leaf count")
+    def test_wide_stars_cost_follows_covers(self):
+        # A k-leaf star's child set has Bell(k) partitions (4.2e6 at k = 12,
+        # 5.2e13 at k = 20), but few covers of size near k.
+        def star(k):
+            return Tree("r", {"r": [f"c{i:02d}" for i in range(k)]})
 
-        monkeypatch.setattr(enumeration, "set_partitions", fail)
-        t = Tree("r", {"r": [f"c{i}" for i in range(25)]})
-        assert find_sweep_covers(t, 26) == set()
+        twelve = star(12)
+        for n, want in [(12, 1), (11, 66)]:
+            start = time.perf_counter()
+            got = find_sweep_covers(twelve, n)
+            assert time.perf_counter() - start < 0.05, n
+            assert len(got) == want and all(validate(twelve, c).valid for c in got)
+        assert find_sweep_covers(twelve, 12) == {make_cover([[f"c{i:02d}"] for i in range(12)])}
+        assert len(find_sweep_covers(star(20), 20)) == 1
+        assert len(find_sweep_covers(star(20), 19)) == comb(20, 2)
+        assert find_sweep_covers(star(25), 26) == set()
 
     def test_path_trees_have_one_cover_per_node(self):
         for m in range(1, 11):

@@ -15,9 +15,11 @@ import sweepcover
 # Each of these costs start-up time that no command needs: `dataclasses`
 # brings `inspect`, `ast`, `dis` and `tokenize`; `typing` and `random` are
 # used only in annotations or by `oracle-check`; `argparse` (with `gettext`)
-# is built only for help, usage errors and command lines that are not plain.
+# is built only for help, usage errors and command lines that are not plain;
+# `fractions` (with `decimal` and `numbers`) serves `growth-report` alone.
 UNNEEDED = (
-    "dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "random", "argparse", "gettext"
+    "dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "random", "argparse", "gettext",
+    "fractions",
 )
 
 SNIPPET = """\
