@@ -20,7 +20,7 @@ def main():
 
     print("\ngrowth diagnostics for delta=3, gamma=0:")
     for r in growth_report(3, 0, 8):
-        ratio = "-" if r.ratio is None else f"{float(r.ratio):.3f}"
+        ratio = "-" if r.ratio is None else f"{r.ratio:.3f}"
         print(f"  n={r.n}  P={r.p_value:<8}  ratio={ratio:<8}  root={r.nth_root:.3f}")
 
     print("\ncount vs Raney value C(delta,1)(n+1) (observational only):")

@@ -181,7 +181,7 @@ def _cmd_bound_report(args: SimpleNamespace) -> str:
 
 def _cmd_growth_report(args: SimpleNamespace) -> str:
     rows = [
-        [r.n, r.p_value, "" if r.ratio is None else f"{float(r.ratio):.6g}", f"{r.nth_root:.6g}"]
+        [r.n, r.p_value, "" if r.ratio is None else f"{r.ratio:.6g}", f"{r.nth_root:.6g}"]
         for r in growth_report(args.delta, args.gamma, args.n_max)
     ]
     return _csv(["n", "p", "ratio", "nth_root"], rows)

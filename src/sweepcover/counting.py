@@ -93,10 +93,12 @@ def series_coefficients(delta: int, gamma: int, n_max: int) -> list[int]:
     powers = [[1] + [0] * n_max] + [[0] * (n_max + 1) for _ in range(top)]
     P = powers[1]
     P[1] = gamma
+    back = [0]  # [0, P[n-1], ..., P[1]]: map pairs P[k] with powers[l-1][n-k], no slice
     for n in range(1, n_max + 1):
         for l in range(2, top + 1):
-            powers[l][n] = sum(map(mul, P[1:n], powers[l - 1][n - 1 : 0 : -1]))
+            powers[l][n] = sum(map(mul, back, powers[l - 1]))
         P[n] += sum(w * powers[l][n - r] for l, r, w in terms if r <= n)
+        back.insert(1, P[n])
     return P[1:]
 
 
@@ -146,19 +148,19 @@ def raney_bound_report(
     return rows
 
 
-# ratio is a Fraction, or None in the first row
+# ratio is the float p_n / p_{n-1}, or None in the first row
 GrowthRow = namedtuple("GrowthRow", "n p_value ratio nth_root")
 
 
 def growth_report(delta: int, gamma: int, n_max: int) -> list[GrowthRow]:
-    """Exact counts with consecutive ratios and n-th roots for eyeballing growth."""
-    from fractions import Fraction  # here, as it loads `decimal` and `numbers`
+    """Exact counts with consecutive ratios and n-th roots for eyeballing growth;
+    each ratio is p_n / p_{n-1} correctly rounded, as float(Fraction(...)) gives."""
     if n_max < 2:
         raise InvalidParamsError(f"n_max must be >= 2, got {n_max}")
     rows = []
     prev: int | None = None
     for n, p in enumerate(series_coefficients(delta, gamma, n_max), 1):
-        ratio = Fraction(p, prev) if prev else None
+        ratio = p / prev if prev else None
         # exp/log rather than p ** (1/n), which converts p to a float
         rows.append(GrowthRow(n=n, p_value=p, ratio=ratio, nth_root=exp(log(p) / n)))
         prev = p

@@ -167,14 +167,19 @@ def test_growth_report():
     rows = growth_report(2, 0, 5)
     assert [r.p_value for r in rows] == [1, 1, 2, 5, 14]
     assert rows[0].ratio is None
-    assert [r.ratio for r in rows[1:]] == [
-        Fraction(1),
-        Fraction(2),
-        Fraction(5, 2),
-        Fraction(14, 5),
-    ]
+    assert [r.ratio for r in rows[1:]] == [1.0, 2.0, 2.5, 2.8]
+    assert all(type(r.ratio) is float for r in rows[1:])
     assert growth_report(2, 5, 2)[0].p_value == 6
     assert growth_report(3, 0, 3)[-1].p_value == 10
+
+
+def test_growth_ratios_are_correctly_rounded_at_large_n():
+    # Counts of hundreds of digits: each ratio is the exact quotient rounded
+    # once to a float, as the exact rational would round.
+    rows = growth_report(3, 0, 600)
+    assert len(str(rows[-1].p_value)) > 300
+    for prev, row in zip(rows, rows[1:]):
+        assert row.ratio == float(Fraction(row.p_value, prev.p_value)), row.n
 
 
 def untruncated_series(delta, gamma, n_max):
@@ -200,11 +205,35 @@ def untruncated_series(delta, gamma, n_max):
 @given(
     delta=st.integers(2, 30),
     gamma=st.integers(0, 3),
-    n_max=st.integers(1, 10),
+    n_max=st.integers(1, 40),
 )
 def test_truncated_solve_equals_untruncated(delta, gamma, n_max):
     # Only terms and powers with l, r <= min(delta, n_max) reach x^n_max.
     assert series_coefficients(delta, gamma, n_max) == untruncated_series(delta, gamma, n_max)
+
+
+def delta3_closed_form(gamma, n):
+    """p_n at delta = 3 by Lagrange inversion of x = P(1 - P^2) / (gamma + 1 + 3P),
+    the equation P = (gamma + 1)x + 3xP + P^3 solved for x."""
+    total = sum(
+        comb(n, n - 1 - 2 * m) * 3 ** (n - 1 - 2 * m) * (gamma + 1) ** (2 * m + 1) * comb(n + m - 1, m)
+        for m in range((n - 1) // 2 + 1)
+    )
+    assert total % n == 0
+    return total // n
+
+
+def test_solve_matches_closed_forms_beyond_brute_force():
+    # At delta = 2 the equation is P = (gamma + 1)x + P^2, whose coefficients
+    # are Catalan numbers scaled by (gamma + 1)^n.
+    n_max = 300
+    for gamma in range(6):
+        assert series_coefficients(2, gamma, n_max) == [
+            (gamma + 1) ** n * comb(2 * n - 2, n - 1) // n for n in range(1, n_max + 1)
+        ]
+        assert series_coefficients(3, gamma, n_max) == [
+            delta3_closed_form(gamma, n) for n in range(1, n_max + 1)
+        ]
 
 
 def test_solve_cost_does_not_follow_delta_squared():

@@ -1,4 +1,5 @@
-"""Guard what `import sweepcover.cli` loads, so start-up cost cannot creep back.
+"""Guard what `import sweepcover.cli` and the counting commands load, so
+start-up and per-command import cost cannot creep back.
 
 The check runs in a fresh `python -S` interpreter: without the `site` hook
 nothing else has loaded these modules, so the list below is what the
@@ -16,18 +17,34 @@ import sweepcover
 # brings `inspect`, `ast`, `dis` and `tokenize`; `typing` and `random` are
 # used only in annotations or by `oracle-check`; `argparse` (with `gettext`)
 # is built only for help, usage errors and command lines that are not plain;
-# `fractions` (with `decimal` and `numbers`) serves `growth-report` alone.
+# `fractions` (with `decimal` and `numbers`) is needed by no command, since
+# `growth-report` divides its exact counts as ints.
 UNNEEDED = (
     "dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "random", "argparse", "gettext",
-    "fractions",
+    "fractions", "decimal", "numbers",
 )
 
+# Prints the modules `import sweepcover.cli` loads, then, for each counting
+# command run through `main` with its output sent to a StringIO, its exit
+# code and the modules it loaded beyond those already present.
 SNIPPET = """\
-import sys
+import io, sys
 sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
-import sweepcover.cli
-print(" ".join(sorted(set(sys.modules) - before)))
+from sweepcover.cli import main
+print("import", 0, " ".join(sorted(set(sys.modules) - before)))
+for argv in (
+    ["count", "--delta", "3", "--gamma", "1", "--n", "20"],
+    ["table", "--delta-range", "2..5", "--n-max", "8"],
+    ["bound-report", "--delta", "3", "--n-max", "10"],
+    ["growth-report", "--delta", "2", "--gamma", "1", "--n-max", "30"],
+):
+    before, stdout, sys.stdout = set(sys.modules), sys.stdout, io.StringIO()
+    try:
+        code = main(argv)
+    finally:
+        sys.stdout = stdout
+    print(argv[0], code, " ".join(sorted(set(sys.modules) - before)))
 """
 
 
@@ -39,6 +56,10 @@ def test_cli_import_loads_no_unneeded_module():
         text=True,
         check=True,
     )
-    loaded = set(proc.stdout.split())
-    assert "sweepcover.cli" in loaded
-    assert sorted(loaded.intersection(UNNEEDED)) == []
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [line[:2] for line in lines] == [
+        ["import", "0"], ["count", "0"], ["table", "0"], ["bound-report", "0"], ["growth-report", "0"],
+    ]
+    assert "sweepcover.cli" in lines[0]
+    for step, _, *loaded in lines:
+        assert sorted(set(loaded).intersection(UNNEEDED)) == [], step
