@@ -26,7 +26,6 @@ import sys
 from collections.abc import Iterable, Sequence
 from types import SimpleNamespace
 
-from .corpus import all_rooted_trees, random_labeled_tree
 from .counting import (
     InvalidParamsError,
     growth_report,
@@ -224,7 +223,9 @@ def run_oracle_check(
     """
     if max_nodes < 1 or n_max < 1:
         raise InvalidParamsError("--max-nodes and --n-max must be >= 1")
-    import random  # only this command needs it; every other one starts without
+    import random  # only this command needs these; every other one starts without them
+
+    from .corpus import all_rooted_trees, random_labeled_tree
 
     trees = list(all_rooted_trees(max_nodes))
     rng = random.Random(seed)

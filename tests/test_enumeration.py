@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sweepcover.corpus import all_rooted_trees, rooted_tree_codes, tree_from_code
+from sweepcover.corpus import all_rooted_trees
 from sweepcover.counting import InvalidParamsError, count_nonsingleton
 from sweepcover.cover import make_cover, max_cover_size, validate
 from sweepcover.enumeration import (
@@ -277,14 +277,29 @@ def test_search_matches_brute_force_on_small_corpus():
 
 
 def test_rooted_tree_class_counts():
-    # number of rooted-tree isomorphism classes for n = 1..8 nodes
-    expected = [1, 1, 2, 4, 9, 20, 48, 115]
-    assert [len(rooted_tree_codes(n)) for n in range(1, 9)] == expected
-    assert rooted_tree_codes(0) == rooted_tree_codes(-1) == ()
-    by_size = [c for n in range(1, 9) for c in rooted_tree_codes(n)]
-    assert [canonical_code(t) for t in all_rooted_trees(8)] == by_size
+    # number of rooted-tree isomorphism classes for n = 1..10 nodes (OEIS A000081)
+    expected = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
+    trees = list(all_rooted_trees(10))
+    sizes = [len(t) for t in trees]
+    assert len(trees) == 1205
+    assert sizes == sorted(sizes)
+    assert [sizes.count(n) for n in range(1, 11)] == expected
+    assert len({canonical_code(t) for t in trees}) == 1205
+    assert all(t.preorder == tuple(f"n{i}" for i in range(len(t))) for t in trees)
+    assert list(all_rooted_trees(0)) == list(all_rooted_trees(-1)) == []
 
 
-def test_tree_from_code_round_trip():
-    for code in rooted_tree_codes(6):
-        assert canonical_code(tree_from_code(code)) == code
+def test_rooted_tree_classes_match_parent_arrays():
+    # Every tree on nodes 0..k-1 numbered so that parent(i) < i, one per
+    # parent array: together they reach every rooted-tree class of size k.
+    codes: dict[int, set[str]] = {}
+    for t in all_rooted_trees(7):
+        codes.setdefault(len(t), set()).add(canonical_code(t))
+    for k in range(1, 8):
+        reference = set()
+        for parents in itertools.product(*(range(i) for i in range(1, k))):
+            children: dict[str, list[str]] = {}
+            for i, p in enumerate(parents, 1):
+                children.setdefault(str(p), []).append(str(i))
+            reference.add(canonical_code(Tree("0", children)))
+        assert codes[k] == reference, k

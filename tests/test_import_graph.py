@@ -14,14 +14,15 @@ import sys
 import sweepcover
 
 # Each of these costs start-up time that no command needs: `dataclasses`
-# brings `inspect`, `ast`, `dis` and `tokenize`; `typing` and `random` are
-# used only in annotations or by `oracle-check`; `argparse` (with `gettext`)
-# is built only for help, usage errors and command lines that are not plain;
-# `fractions` (with `decimal` and `numbers`) is needed by no command, since
-# `growth-report` divides its exact counts as ints.
+# brings `inspect`, `ast`, `dis` and `tokenize`; `typing` is used only in
+# annotations, and `random` and `sweepcover.corpus` only by `oracle-check`;
+# `argparse` (with `gettext`) is built only for help, usage errors and
+# command lines that are not plain; `fractions` (with `decimal` and
+# `numbers`) is needed by no command, since `growth-report` divides its
+# exact counts as ints.
 UNNEEDED = (
     "dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "random", "argparse", "gettext",
-    "fractions", "decimal", "numbers",
+    "fractions", "decimal", "numbers", "sweepcover.corpus",
 )
 
 # Prints the modules `import sweepcover.cli` loads, then, for each counting

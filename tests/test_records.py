@@ -1,7 +1,5 @@
 """The report and spec record types: repr, equality, hash, immutability, validation."""
 
-from fractions import Fraction
-
 import pytest
 
 from sweepcover.counting import BoundRow, GrowthRow, InvalidParamsError
@@ -29,9 +27,9 @@ RECORDS = [
         BoundRow(2, 3, 12, True),
     ),
     (
-        GrowthRow(n=2, p_value=3, ratio=Fraction(3, 1), nth_root=1.5),
-        "GrowthRow(n=2, p_value=3, ratio=Fraction(3, 1), nth_root=1.5)",
-        GrowthRow(2, 3, Fraction(3), 1.5),
+        GrowthRow(n=2, p_value=3, ratio=3.0, nth_root=1.5),
+        "GrowthRow(n=2, p_value=3, ratio=3.0, nth_root=1.5)",
+        GrowthRow(2, 3, 3.0, 1.5),
         GrowthRow(2, 3, None, 1.5),
     ),
 ]

@@ -3,7 +3,6 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sweepcover.corpus import tree_from_code
 from sweepcover.counting import InvalidParamsError
 from sweepcover.tree import (
     CycleError,
@@ -277,9 +276,10 @@ class TestCanonicalCode:
         assert canonical_code(t1) == canonical_code(t2)
 
     def test_deep_chain_round_trips(self):
-        code = canonical_code(chain(*(f"c{i}" for i in range(5000))))
+        deep = chain(*(f"c{i}" for i in range(5000)))
+        code = canonical_code(deep)
         assert code == "(" * 5000 + ")" * 5000
-        assert canonical_code(tree_from_code(code)) == code
+        assert canonical_code(parse_tree(serialize_tree(deep))) == code
 
 
 EDGE_LISTS = st.lists(
