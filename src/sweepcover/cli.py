@@ -17,7 +17,6 @@ any other argv goes to the argparse parser `build_parser` makes from it.
 from __future__ import annotations
 
 import csv
-import functools
 import gc
 import io
 import itertools
@@ -291,10 +290,8 @@ COMMANDS = {
 }
 
 
-@functools.cache
 def build_parser():
-    """The one argparse parser this process shares, built from `COMMANDS`; callers
-    must not change it.  `parse_args` keeps no state between calls."""
+    """A new argparse parser built from `COMMANDS`."""
     import argparse  # only for help, usage errors and argvs that `_plain_args` declines
 
     parser = argparse.ArgumentParser(

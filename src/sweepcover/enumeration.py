@@ -32,31 +32,28 @@ def compositions(k: int, n: int) -> Iterator[tuple[int, ...]]:
 def set_partitions(
     elements: Iterable[str], max_blocks: int
 ) -> Iterator[tuple[frozenset[str], ...]]:
-    """All partitions of `elements` into at most `max_blocks` non-empty blocks.
+    """All partitions of `elements` into at most `max_blocks` non-empty blocks, each once.
 
-    Enumerated via restricted-growth strings, so each partition appears
-    exactly once and the order is deterministic for a fixed element order.
+    Split as the search splits a child set: for j = 0, 1, ... every j
+    singletons in `itertools.combinations` order, then every split of the
+    rest into r blocks of two or more (`nonsingleton_partitions`), r rising,
+    with j + r <= max_blocks.  Each partition lists its singletons first.
+    Nothing is yielded for no elements or for max_blocks < 1.
     """
     items = list(elements)
-    if not items or max_blocks < 1:
+    if not items:
         return
-    # assign[i] is the block of items[i]; used[i] counts the blocks among
-    # assign[:i], and item i may open at most one new block.
-    assign = [0] * len(items)
-    used = [0] + [1] * len(items)
-    while True:
-        blocks: list[list[str]] = [[] for _ in range(used[-1])]
-        for item, b in zip(items, assign):
-            blocks[b].append(item)
-        yield tuple(frozenset(b) for b in blocks)
-        i = len(items) - 1
-        while i > 0 and assign[i] >= min(used[i], max_blocks - 1):
-            i -= 1
-        if i == 0:
-            return
-        assign[i] += 1
-        assign[i + 1 :] = [0] * (len(items) - 1 - i)
-        used[i + 1 :] = [max(used[i], assign[i] + 1)] * (len(items) - i)
+    for j in range(min(len(items), max_blocks) + 1):
+        # r blocks for the rest: none if it is empty, else 1 up to what fits.
+        rs = range(len(items) > j, min(max_blocks - j, (len(items) - j) // 2) + 1)
+        if not rs:
+            continue  # a rest of one item, or no block left for the rest
+        for singles in itertools.combinations(items, j):
+            rest = [x for x in items if x not in singles]
+            head = tuple(frozenset({x}) for x in singles)
+            for r in rs:
+                for blocks in nonsingleton_partitions(rest, r):
+                    yield head + blocks
 
 
 def nonsingleton_partitions(
@@ -164,7 +161,9 @@ def _search(tree: Tree, lo: int, hi: int) -> dict[int, set[Cover]]:
                             grown.setdefault((s + t, g), []).extend(more)
                 ways = grown
             for (s, grouped), picks in ways.items():
-                for r in range(max(bottom - s, 0), min(top - s, len(grouped) // 2) + 1):
+                # A group splits into at least one block, so a group of one child
+                # gives no r and every r taken yields a cover.
+                for r in range(max(bottom - s, bool(grouped)), min(top - s, len(grouped) // 2) + 1):
                     for part in nonsingleton_partitions(grouped, r):
                         blocks, out = frozenset(part), here.setdefault(s + r, set())
                         for pools in picks:

@@ -1,11 +1,13 @@
 import itertools
+import random
 import time
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sweepcover.corpus import all_rooted_trees
+from sweepcover import enumeration
+from sweepcover.corpus import all_rooted_trees, random_labeled_tree
 from sweepcover.counting import InvalidParamsError, count_nonsingleton
 from sweepcover.cover import make_cover, max_cover_size, validate
 from sweepcover.enumeration import (
@@ -78,14 +80,32 @@ class TestSetPartitions:
         got = list(set_partitions(list("abcd"), 2))
         assert all(len(p) <= 2 for p in got)
 
-    def test_restricted_growth_order(self):
+    def test_singletons_then_blocks_order(self):
         got = list(set_partitions(list("abc"), 2))
         assert got == [
             (frozenset("abc"),),
-            (frozenset("ab"), frozenset("c")),
-            (frozenset("ac"), frozenset("b")),
             (frozenset("a"), frozenset("bc")),
+            (frozenset("b"), frozenset("ac")),
+            (frozenset("c"), frozenset("ab")),
         ]
+
+    def test_counts_are_stirling_sums(self):
+        # stirling[k][b]: partitions of k items into exactly b blocks.
+        stirling = [[1]]
+        for k in range(1, 10):
+            row = stirling[-1] + [0]
+            stirling.append([0] + [b * row[b] + row[b - 1] for b in range(1, k + 1)])
+        for k in range(1, 10):
+            items = [str(i) for i in range(k)]
+            for max_blocks in range(-1, k + 2):
+                got = list(set_partitions(items, max_blocks))
+                assert len({frozenset(p) for p in got}) == len(got), (k, max_blocks)
+                for p in got:
+                    assert 1 <= len(p) <= max_blocks and all(p), (k, max_blocks)
+                    assert sorted(x for b in p for x in b) == items, (k, max_blocks)
+                assert len(got) == sum(stirling[k][: max(max_blocks + 1, 0)]), (k, max_blocks)
+        for max_blocks in range(-1, 3):
+            assert list(set_partitions([], max_blocks)) == []
 
     def test_many_elements(self):
         items = [str(i) for i in range(5000)]
@@ -210,6 +230,32 @@ class TestFindSweepCovers:
     def test_ild_truncation_count(self):
         t = build_ild_truncated(IldSpec(4, 0, 6))
         assert len(find_sweep_covers(t, 5)) == 4918
+
+    def test_every_group_split_yields_a_partition(self, monkeypatch):
+        # The join asks for a group's splits into r blocks only when some exist.
+        found = []  # partitions yielded, one entry per call
+        split = enumeration.nonsingleton_partitions
+
+        def counted(elements, m):
+            found.append(0)
+            for part in split(elements, m):
+                found[-1] += 1
+                yield part
+
+        def search(t, n):
+            found.clear()
+            covers = find_sweep_covers(t, n)
+            assert 0 not in found, (canonical_code(t), n)
+            return len(covers), bool(found)
+
+        monkeypatch.setattr(enumeration, "nonsingleton_partitions", counted)
+        assert search(build_ild_truncated(IldSpec(3, 0, 3)), 8) == (22977, True)
+        assert search(build_ild_truncated(IldSpec(4, 0, 6)), 5) == (4918, True)
+        rng = random.Random(19)
+        for _ in range(300):
+            t = random_labeled_tree(rng, rng.randint(1, 9))
+            for n in range(1, max_cover_size(t) + 1):
+                search(t, n)
 
 
 @st.composite
