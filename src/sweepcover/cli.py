@@ -255,18 +255,18 @@ def _cmd_oracle_check(args: SimpleNamespace) -> str:
 
 REQUIRED = ...  # the default of an option that every command line must give
 
-
-def _io(*formats: str) -> tuple:
-    # --format defaults to "text" even where that is no choice; those commands then print CSV.
-    return ("--format", formats, "text", None), ("--out", str, None, "output path (default stdout)")
-
-
 _TREE, _N = ("--tree", str, REQUIRED, None), ("--n", int, REQUIRED, None)
 _DELTA, _GAMMA = ("--delta", int, REQUIRED, None), ("--gamma", int, 0, None)
 _N_MAX = ("--n-max", int, REQUIRED, None)
 _COVER = ("--cover", str, REQUIRED, "JSON array of arrays of node labels")
 _DELTA_RANGE = ("--delta-range", str, REQUIRED, "A..B (or a single value)")
 _MAX_NODES = ("--max-nodes", int, REQUIRED, None)
+_OUT = ("--out", str, None, "output path (default stdout)")
+
+
+def _io(*formats: str) -> tuple:
+    return ("--format", formats, formats[0], None), _OUT
+
 
 # name -> (help, function, *options in help order); an option is (flag, kind,
 # default, help), where kind is int, str or a tuple of choices.
@@ -282,11 +282,11 @@ COMMANDS = {
     "bound-report": ("counts vs Raney lower-bound values",
                      _cmd_bound_report, _DELTA, _GAMMA, _N_MAX, *_io("csv", "json")),
     "growth-report": ("growth-ratio diagnostics for the counts",
-                      _cmd_growth_report, _DELTA, _GAMMA, _N_MAX, *_io("csv")),
+                      _cmd_growth_report, _DELTA, _GAMMA, _N_MAX, _OUT),
     "discrepancy": ("recurrence counts beside the search on a finite truncation",
-                    _cmd_discrepancy, _DELTA, _GAMMA, _N_MAX, *_io("csv")),
+                    _cmd_discrepancy, _DELTA, _GAMMA, _N_MAX, _OUT),
     "oracle-check": ("recursive search vs brute force on small trees",
-                     _cmd_oracle_check, _MAX_NODES, _N_MAX, *_io("text")),
+                     _cmd_oracle_check, _MAX_NODES, _N_MAX, _OUT),
 }
 
 

@@ -105,32 +105,24 @@ def find_sweep_covers(tree: Tree, n: int) -> set[Cover]:
 def _search(tree: Tree, lo: int, hi: int) -> dict[int, set[Cover]]:
     """Covers of the whole tree of each size from lo to hi, in one pass.
 
-    Every branching proper ancestor of v adds at least one block beside a
-    cover of v's subtree, and the leaves outside that subtree bound what
-    the rest of a cover adds, so v keeps the sizes from lo minus those
-    leaves to hi minus those ancestors (and at most its own leaf count).
-    A node with k >= 2 children takes the counting term sum_j e_j(F_c) *
-    Q_{k-j}: each child is folded in as a singleton child of some size (e_j)
-    or grouped, and a group splits into blocks of two or more (Q) as sizes allow.
+    Each branching proper ancestor of v adds a block or more beside a cover
+    of v's subtree, and each leaf outside it at most one, so v's window
+    [bottom, top] runs from lo minus those leaves to hi minus those ancestors
+    (at most v's leaf count), and v is visited only below fewer than hi.  A
+    node with k >= 2 children takes the counting term sum_j e_j(F_c) * Q_{k-j}:
+    each child folds in as a singleton child of some size (e_j) or grouped,
+    a fold state stays while its size interval meets the window, and a
+    group splits into blocks of two or more (Q) as sizes allow.
     """
     total_leaves = tree.leaf_count(tree.root)
-    if lo > total_leaves:
-        # No cover is larger than the leaf count.
-        return {s: set() for s in range(lo, hi + 1)}
-    # forks[v]: proper ancestors of v with two or more children.  A subtree
-    # below hi or more of them has no size left to use and is skipped.
+    # forks[v]: v's branching proper ancestors, set only while fewer than hi.
     forks = {tree.root: 0}
     kept: list[str] = []
-    i = 0
-    while i < len(tree.preorder):
-        v = tree.preorder[i]
-        if forks[v] >= hi:
-            i = tree.span(v)[1]
-            continue
-        kids = tree.children_of(v)
-        forks.update((c, forks[v] + (len(kids) > 1)) for c in kids)
-        kept.append(v)
-        i += 1
+    for v in tree.preorder:
+        if forks.get(v, hi) < hi:
+            kids = tree.children_of(v)
+            forks.update((c, forks[v] + (len(kids) > 1)) for c in kids)
+            kept.append(v)
 
     # covers[v]: size -> covers of v's subtree, popped once v's parent is built.
     covers: dict[str, dict[int, set[Cover]]] = {}
@@ -155,14 +147,15 @@ def _search(tree: Tree, lo: int, hi: int) -> dict[int, set[Cover]]:
                 for (s, grouped), picks in ways.items():
                     for t, pool in options:
                         g = grouped if pool else grouped + (c,)
-                        # Kept only while some completion can land in [bottom, top].
-                        if s + t + reach + len(g) // 2 >= bottom and s + t + bool(g) <= top:
+                        # Kept while the sizes it can reach (a group gives 1 to len // 2
+                        # blocks) form a non-empty interval that meets [bottom, top].
+                        if bottom <= s + t + reach + len(g) // 2 >= s + t + bool(g) <= top:
                             more = [p + (pool,) for p in picks] if pool else picks
                             grown.setdefault((s + t, g), []).extend(more)
                 ways = grown
             for (s, grouped), picks in ways.items():
-                # A group splits into at least one block, so a group of one child
-                # gives no r and every r taken yields a cover.
+                # A group splits into at least one block; the fold left no group
+                # of one, so every r taken yields a cover.
                 for r in range(max(bottom - s, bool(grouped)), min(top - s, len(grouped) // 2) + 1):
                     for part in nonsingleton_partitions(grouped, r):
                         blocks, out = frozenset(part), here.setdefault(s + r, set())

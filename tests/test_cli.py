@@ -604,7 +604,7 @@ def test_unwritable_out_exits_2(capsys, tmp_path, name):
     assert "internal error" not in err
 
 
-def test_shared_parser_keeps_no_state_between_commands(capsys, tmp_path):
+def test_main_keeps_no_state_between_commands(capsys, tmp_path):
     argvs = [_argv(name, tmp_path) for name in sorted(OUT_ARGVS)] + [
         ["count", "--delta", "1", "--n", "3"],
         ["count", "--delta", "3"],

@@ -226,6 +226,11 @@ class TestFindSweepCovers:
             leaves = t.leaves()
             assert len(leaves) == length
             assert find_sweep_covers(t, length) == {make_cover([[v] for v in leaves])}
+            # n = 2 keeps only the top of the spine; no cover is larger than the leaf count.
+            assert find_sweep_covers(t, 2) == {
+                make_cover([["l0"], ["s1"]]), make_cover([["l0"], ["l1", "s2"]])
+            }
+            assert find_sweep_covers(t, length + 1) == set()
 
     def test_ild_truncation_count(self):
         t = build_ild_truncated(IldSpec(4, 0, 6))
