@@ -80,7 +80,9 @@ def cover_from_json(text: str) -> Cover:
         and all(map(isinstance, data, itertools.repeat(list)))
         and all(map(isinstance, itertools.chain.from_iterable(data), itertools.repeat(str)))
     ):
-        return make_cover(data)
+        if len(cover := make_cover(data)) == len(data):
+            return cover
+        raise CoverError("cover lists a block twice")
     raise CoverError("expected a JSON array of arrays of node labels")
 
 

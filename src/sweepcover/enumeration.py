@@ -108,28 +108,28 @@ def _search(tree: Tree, lo: int, hi: int) -> dict[int, set[Cover]]:
     Each branching proper ancestor of v adds a block or more beside a cover
     of v's subtree, and each leaf outside it at most one, so v's window
     [bottom, top] runs from lo minus those leaves to hi minus those ancestors
-    (at most v's leaf count), and v is visited only below fewer than hi.  A
-    node with k >= 2 children takes the counting term sum_j e_j(F_c) * Q_{k-j}:
-    each child folds in as a singleton child of some size (e_j) or grouped,
-    a fold state stays while its size interval meets the window, and a
-    group splits into blocks of two or more (Q) as sizes allow.
+    (at most v's leaf count).  Nodes are listed from the root (none when lo
+    exceeds the leaf count), a child only while it has fewer than hi such
+    ancestors.  A node with k >= 2 children takes the counting term sum_j
+    e_j(F_c) * Q_{k-j}: each child folds in as a singleton child of some size
+    (e_j) or grouped, a fold state stays while its size interval meets the
+    window, and a group splits into blocks of two or more (Q) as sizes allow.
     """
     total_leaves = tree.leaf_count(tree.root)
-    # forks[v]: v's branching proper ancestors, set only while fewer than hi.
-    forks = {tree.root: 0}
-    kept: list[str] = []
-    for v in tree.preorder:
-        if forks.get(v, hi) < hi:
-            kids = tree.children_of(v)
-            forks.update((c, forks[v] + (len(kids) > 1)) for c in kids)
-            kept.append(v)
+    # (v, v's branching proper ancestors): grows as it is walked, parents first.
+    kept = [(tree.root, 0)] if lo <= total_leaves else []
+    for v, forks in kept:
+        kids = tree.children_of(v)
+        below = forks + (len(kids) > 1)
+        kept.extend((c, below) for c in kids if below < hi)
 
     # covers[v]: size -> covers of v's subtree, popped once v's parent is built.
     covers: dict[str, dict[int, set[Cover]]] = {}
-    for v in reversed(kept):
+    while kept:  # children first; each pair is dropped once its node is built
+        v, forks = kept.pop()
         leaves = tree.leaf_count(v)
         bottom = lo - (total_leaves - leaves)
-        top = min(hi - forks[v], leaves)
+        top = min(hi - forks, leaves)
         kids = tree.children_of(v)
         here = covers.pop(kids[0]) if len(kids) == 1 else {}
         if bottom <= 1:
@@ -162,7 +162,7 @@ def _search(tree: Tree, lo: int, hi: int) -> dict[int, set[Cover]]:
                         for pools in picks:
                             out.update(blocks.union(*combo) for combo in itertools.product(*pools))
         covers[v] = here
-    found = covers[tree.root]
+    found = covers.get(tree.root, {})
     return {s: found.get(s, set()) for s in range(lo, hi + 1)}
 
 

@@ -219,6 +219,13 @@ class TestValidate:
         assert err.startswith("error: ")
         assert "internal error" not in err
 
+    def test_repeated_block_exits_2(self, capsys, star_file, tmp_path):
+        # Three blocks on a two-leaf star: the second ["a"] is not folded away.
+        cov = tmp_path / "cover.json"
+        cov.write_text('[["a"], ["a"], ["b"]]')
+        code, out, err = run(capsys, "validate", "--tree", star_file, "--cover", str(cov))
+        assert (code, out, err) == (2, "", "error: cover lists a block twice\n")
+
 
 TREE_LABELS = ["r", "a", "b", "c", "é"]
 LABELS = st.sampled_from(TREE_LABELS + ["#", "a b", ""])

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sweepcover.cover import (
     BadSelectionError,
+    CoverError,
     CoverReport,
     InvalidCoverError,
     LeafNodeError,
@@ -197,6 +198,16 @@ def test_cover_json_round_trip():
     text = json.dumps([blocks[r] for r in ranks])
     assert cover_from_json(text) == cover
     assert text == '[["b"], ["c", "d"]]'
+
+
+def test_cover_json_rejects_a_repeated_block():
+    # A collection that lists a block twice is not disjoint, whatever order
+    # the labels come in; a label repeated inside one block is read as a set.
+    for text in ('[["a"], ["a"], ["b"]]', '[["a", "b"], ["b", "a"]]'):
+        with pytest.raises(CoverError, match="twice"):
+            cover_from_json(text)
+    assert cover_from_json('[["a", "a", "b"]]') == make_cover([["a", "b"]])
+    assert make_cover([["a"], ["a"], ["b"]]) == make_cover([["a"], ["b"]])
 
 
 def random_valid_cover(rng, tree):

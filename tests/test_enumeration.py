@@ -218,7 +218,22 @@ class TestFindSweepCovers:
                 assert len(cover) == n
                 assert validate(t, cover).valid
 
-    def test_deep_caterpillar_has_only_the_all_leaves_cover(self):
+    def test_deep_caterpillar_has_only_the_all_leaves_cover(self, monkeypatch):
+        calls = []  # one entry per Tree.children_of call
+        children_of = Tree.children_of
+
+        def counted(tree, v):
+            calls.append(v)
+            return children_of(tree, v)
+
+        def above_leaf_count(t, n):
+            # A size above the leaf count has no cover and walks no node.
+            calls.clear()
+            assert find_sweep_covers(t, n) == set()
+            assert calls == []
+
+        monkeypatch.setattr(Tree, "children_of", counted)
+        above_leaf_count(Tree("r", {"r": [f"c{i}" for i in range(1200)]}), 1201)
         for length in (40, 3000):
             # Spine s0..s{length-1}, each inner spine node with one leaf; the last is a leaf.
             spine = [f"s{i}" for i in range(length)]
@@ -230,7 +245,7 @@ class TestFindSweepCovers:
             assert find_sweep_covers(t, 2) == {
                 make_cover([["l0"], ["s1"]]), make_cover([["l0"], ["l1", "s2"]])
             }
-            assert find_sweep_covers(t, length + 1) == set()
+            above_leaf_count(t, length + 1)
 
     def test_ild_truncation_count(self):
         t = build_ild_truncated(IldSpec(4, 0, 6))
