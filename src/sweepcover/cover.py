@@ -100,15 +100,15 @@ class CoverReport(namedtuple("CoverReport", "valid violations witness", defaults
 def validate(tree: Tree, cover: Cover) -> CoverReport:
     """Check all four sweep-cover conditions, reporting every violated one.
 
-    Costs O(m log m) for a cover with m members, on top of building the
-    tree; only a cover that leaves a node uncovered pays O(N) more, for N
-    tree nodes, to name that node.  A member that is not a tree node raises
+    Costs O(m + |ancestors| + |descendants|) for a cover with m members, at
+    most O(N) for N tree nodes and never more than building the tree, and
+    reads no pre-order index.  A member that is not a tree node raises
     `UnknownNodeError` from the tree.
     """
     members = frozenset().union(*cover)
     if not members <= tree.nodes:
         # The first unknown member in canonical order raises.
-        tree.span(next(v for b in canonical_blocks(cover) for v in b if v not in tree))
+        tree.parent_of(next(v for b in canonical_blocks(cover) for v in b if v not in tree))
     violations: list[str] = []
     witness: tuple[str, ...] | None = None
 
@@ -133,28 +133,14 @@ def validate(tree: Tree, cover: Cover) -> CoverReport:
     if mixed:
         flag("siblings", min(tuple(sorted(b)) for b in mixed))
 
-    # Taken in pre-order, a member lies below an earlier one iff it starts
-    # before the end of the last member that did not; those outermost
-    # members hold every member's leaves.
-    leaves_from = tree.leaves_from
-    nested = []
-    reach = leaves = 0
-    for start, end in tree.spans(members):
-        if start < reach:
-            nested.append(tree.preorder[start])
-        else:
-            reach = end
-            leaves += leaves_from[start] - leaves_from[end]
+    ancestors, descendants = tree.relatives(members)
 
     # 3: blocks plus all their ancestors and descendants exhaust the nodes.
-    # A node is covered iff its leaves are, and a leaf iff it lies below a
-    # member, so coverage holds iff the members hold every leaf.
-    if leaves < leaves_from[0]:
-        ancestors, descendants = tree.relatives(members)
-        uncovered = tree.nodes - members - ancestors - descendants
-        flag("coverage", (min(uncovered),))
+    if len(members | ancestors | descendants) < len(tree):
+        flag("coverage", (min(tree.nodes - members - ancestors - descendants),))
 
     # 4: no two cover nodes are in an ancestor-descendant relation.
+    nested = members & descendants
     if nested:
         v = min(nested)
         flag("no-ancestry", (min(tree.ancestors_of(v) & members), v))

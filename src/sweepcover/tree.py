@@ -4,15 +4,14 @@ Trees are immutable after construction and safe to share between threads.
 Node labels are opaque strings; anything that produces deterministic output
 sorts labels lexicographically.
 
-Construction makes one iterative pre-order pass and keeps its result as an
-index: `preorder` lists the nodes, children in stored order, and `span(v)`
-gives v's position in it and the end of v's subtree.  The index answers
-every ancestry question without walking the tree: u is a proper ancestor of
-v iff span(u)[0] < span(v)[0] < span(u)[1], v's descendants are a slice of
-`preorder`, and reversing `preorder` visits children before their parents.
-A second, reverse pass also keeps a leaf index: `leaves_from[i]` counts the
-leaves among `preorder[i:]`, so the subtree with span (start, end) holds
-`leaves_from[start] - leaves_from[end]` leaves.
+Construction keeps the children and parents and checks that they form one
+tree.  A pre-order index is built on first use: `preorder` lists the nodes,
+children in stored order, `span(v)` gives v's position in it and the end of
+v's subtree (v's descendants are a slice of `preorder`), and `leaves_from[i]`
+counts the leaves among `preorder[i:]`, so the subtree with span (start, end)
+holds `leaves_from[start] - leaves_from[end]` leaves.  The build is
+idempotent, so concurrent first calls only repeat work and the tree stays
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
+from itertools import chain
 
 from .counting import InvalidParamsError
 
@@ -91,43 +91,55 @@ class Tree:
 
     `children` maps a node to the ordered list of its children; nodes that
     appear only as children need no entry.  Construction validates that the
-    edges form a single tree rooted at `root`.
+    edges form a single tree rooted at `root`; the pre-order index behind
+    `preorder`, `span`, `leaves_from` and `leaf_count` is built on first use.
     """
 
-    __slots__ = ("root", "nodes", "preorder", "leaves_from", "_children", "_parent", "_span")
+    __slots__ = ("root", "nodes", "_children", "_parent", "_index")
 
     def __init__(self, root: str, children: Mapping[str, Iterable[str]]):
         child_map = {p: tuple(kids) for p, kids in children.items()}
-        # One C-level test per kind of fault (labels are searched joined by
-        # "/", which is neither whitespace nor "#"); only a faulty input pays
-        # for the edge walk that names its first fault.
+        # One C-level test per kind of fault (labels are scanned joined by "/", which is
+        # neither whitespace nor "#"; `str.split` breaks where `\s` matches); only a
+        # faulty input pays for the edge walk that names its first fault.
         try:
             parent = {c: p for p, kids in child_map.items() for c in kids}
             nodes = {root, *child_map, *parent}
+            joined = "/".join(nodes)
             faulty = (
                 len(parent) != sum(map(len, child_map.values()))
                 or root in parent
                 or "" in nodes
-                or _FORBIDDEN_IN_LABEL("/".join(nodes)) is not None
+                or "#" in joined
+                or joined.split(None, 1) != [joined]
             )
         except TypeError:  # a label that is not a string
             faulty = True
         if faulty:
             _raise_first_fault(root, child_map)
-        # Pre-order from the root: every node must be reached exactly once.
-        order: list[str] = []
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            if v in child_map:
-                stack.extend(child_map[v][::-1])
-        if len(order) != len(nodes):
-            stranded = sorted(nodes.difference(order))
+        # Every node must be reached; with one parent each and none for the root, it ends.
+        reached = [root]
+        for v in reached:
+            reached.extend(child_map.get(v, ()))
+        if len(reached) != len(nodes):
+            stranded = sorted(nodes.difference(reached))
             orphans = [v for v in stranded if v not in parent]
             if orphans:
                 raise MultipleRootsError(f"unreachable parentless nodes: {orphans}")
             raise CycleError(f"nodes not reachable from root: {stranded}")
+        self.root = root
+        self.nodes = frozenset(nodes)
+        self._children = child_map
+        self._parent = parent
+        self._index = None
+
+    def _build_index(self) -> tuple[tuple[str, ...], dict[str, tuple[int, int]], tuple[int, ...]]:
+        child_map = self._children
+        order: list[str] = []
+        stack = [self.root]
+        while stack:
+            order.append(v := stack.pop())
+            stack.extend(child_map.get(v, ())[::-1])
         # A subtree ends where the subtree of its last child ends, and
         # leaves_from[i] counts the leaves among order[i:].
         span: dict[str, tuple[int, int]] = {}
@@ -141,42 +153,36 @@ class Tree:
             else:
                 span[v] = (i, i + 1)
                 leaves_from[i] = leaves_from[i + 1] + 1
-        self.root = root
-        self.nodes = frozenset(nodes)
-        self.preorder = tuple(order)
-        self.leaves_from = tuple(leaves_from)
-        self._children = child_map
-        self._parent = parent
-        self._span = span
+        self._index = (tuple(order), span, tuple(leaves_from))
+        return self._index
+
+    # The pre-order index, built on first use: (preorder, span, leaves_from).
+    preorder = property(lambda self: (self._index or self._build_index())[0])
+    leaves_from = property(lambda self: (self._index or self._build_index())[2])
 
     # -- basic queries -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.preorder)
+        return len(self.nodes)
 
     def __contains__(self, label: str) -> bool:
-        return label in self._span
+        return label in self.nodes
 
     def _require(self, v: str) -> None:
-        if v not in self._span:
+        if v not in self.nodes:
             raise UnknownNodeError(f"unknown node {v!r}")
 
     def span(self, v: str) -> tuple[int, int]:
         """(start, end) such that v's subtree is `preorder[start:end]`, v first."""
         self._require(v)
-        return self._span[v]
-
-    def spans(self, vs: Iterable[str]) -> list[tuple[int, int]]:
-        """The spans of the labels in vs, sorted: `sorted(map(self.span, vs))`."""
-        try:
-            return sorted(map(self._span.__getitem__, vs))
-        except KeyError as exc:
-            raise UnknownNodeError(f"unknown node {exc.args[0]!r}") from None
+        return (self._index or self._build_index())[1][v]
 
     def leaf_count(self, v: str) -> int:
         """Number of leaves in v's subtree (1 when v is a leaf)."""
-        start, end = self.span(v)
-        return self.leaves_from[start] - self.leaves_from[end]
+        self._require(v)
+        _, span, leaves_from = self._index or self._build_index()
+        start, end = span[v]
+        return leaves_from[start] - leaves_from[end]
 
     def children_of(self, v: str) -> tuple[str, ...]:
         self._require(v)
@@ -187,7 +193,7 @@ class Tree:
         return self._parent.get(v)
 
     def leaves(self) -> tuple[str, ...]:
-        return tuple(sorted(v for v in self.preorder if not self._children.get(v)))
+        return tuple(sorted(v for v in self.nodes if not self._children.get(v)))
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         """All edges, parents in sorted order, children in stored order."""
@@ -207,21 +213,28 @@ class Tree:
     def relatives(self, vs: Iterable[str]) -> tuple[set[str], set[str]]:
         """(proper ancestors, proper descendants) of any member of vs.
 
-        Members are taken in pre-order and each node is collected once: a
-        parent walk stops at the first ancestor already collected, and a
-        member inside an earlier member's subtree adds no slice of its own.
+        Each node is collected once: a parent walk stops at the first
+        ancestor already collected, and a subtree walk starts only at a
+        member with children and skips a node whose children are collected.
         """
+        if not self.nodes.issuperset(vs := list(vs)):
+            self._require(next(v for v in vs if v not in self.nodes))
+        parent, children = self._parent, self._children
         ancestors: set[str] = set()
         descendants: set[str] = set()
-        reach = 0
-        for start, end in self.spans(vs):
-            p = self._parent.get(self.preorder[start])
+        for v in vs:
+            p = parent.get(v)
             while p is not None and p not in ancestors:
                 ancestors.add(p)
-                p = self._parent.get(p)
-            if start >= reach:
-                descendants.update(self.preorder[start + 1 : end])
-                reach = end
+                p = parent.get(p)
+        # Only v's own walk collects v's children, so once its first child
+        # is collected the rest of v's subtree is collected or queued.
+        inner = list(filter(children.get, vs))
+        for v in inner:
+            kids = children[v]
+            if kids[0] not in descendants:
+                descendants.update(kids)
+                inner.extend(filter(children.get, kids))
         return ancestors, descendants
 
     def restrict(self, keep: Iterable[str]) -> "Tree":
@@ -252,19 +265,19 @@ def parse_tree(text: str) -> Tree:
     form feeds, separate fields and do not shift line numbers.
     """
     children: dict[str, list[str]] = {}
-    for lineno, line in enumerate(_strip_comments("", text).split("\n"), start=1):
-        fields = line.split()
-        if len(fields) != 2:
-            if not fields:
-                continue
-            raw = text.split("\n")[lineno - 1]
-            raise TreeError(f"line {lineno}: expected 'parent child', got {raw!r}")
-        children.setdefault(fields[0], []).append(fields[1])
+    lines = _strip_comments("", text).split("\n")
+    try:
+        for p, c in filter(None, map(str.split, lines)):
+            children.setdefault(p, []).append(c)
+    except ValueError:  # a line with one field or more than two
+        lineno = next(i for i, line in enumerate(lines, 1) if len(line.split()) not in (0, 2))
+        raw = text.split("\n")[lineno - 1]
+        raise TreeError(f"line {lineno}: expected 'parent child', got {raw!r}") from None
     if not children:
         raise EmptyDocumentError("no edges in document")
     # The root is a parent that is nobody's child.  Tree reports duplicate
     # edges, second parents, cycles and further roots.
-    heads = set(children).difference(*children.values())
+    heads = set(children).difference(chain.from_iterable(children.values()))
     return Tree(min(heads, default=next(iter(children))), children)
 
 

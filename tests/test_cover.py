@@ -315,6 +315,59 @@ def test_validate_matches_definitions(case, foreign):
     assert validate(tree, cover) == reference_report(tree, cover)
 
 
+@settings(max_examples=300, deadline=None)
+@given(trees_with_covers(), st.data())
+def test_relatives_match_parent_walks(case, data):
+    tree, _ = case
+    labels = st.sampled_from([*sorted(tree.nodes), "unknown0", "unknown1"])
+    vs = data.draw(st.lists(labels, max_size=8))
+    as_iterator = data.draw(st.booleans())
+
+    def ancestors(v):
+        out = set()
+        while (v := tree.parent_of(v)) is not None:
+            out.add(v)
+        return out
+
+    unknown = [v for v in vs if v not in tree]
+    if unknown:
+        with pytest.raises(UnknownNodeError, match=f"^unknown node {unknown[0]!r}$"):
+            tree.relatives(iter(vs) if as_iterator else vs)
+        return
+    up = set().union(*map(ancestors, vs))
+    down = {u for u in tree.nodes if ancestors(u) & set(vs)}
+    assert tree.relatives(iter(vs) if as_iterator else vs) == (up, down)
+
+
+def test_validate_builds_no_preorder_index(monkeypatch):
+    builds = []
+    build = Tree._build_index
+
+    def counted(self):
+        builds.append(self)
+        return build(self)
+
+    monkeypatch.setattr(Tree, "_build_index", counted)
+    spine = [f"s{i}" for i in range(4001)]
+    caterpillar = Tree(spine[0], {s: [f"l{i}", spine[i + 1]] for i, s in enumerate(spine[:-1])})
+    tree = random_labeled_tree(random.Random(23), 40)
+    leaf = tree.leaves()[0]
+    cases = [
+        (caterpillar, make_cover([[v] for v in caterpillar.leaves()]), ()),
+        (tree, make_cover([[tree.root], [leaf]]), ("no-ancestry",)),
+        (tree, make_cover([[leaf]]), ("coverage",)),
+    ]
+    for t, cover, violations in cases:
+        assert validate(t, cover).violations == violations
+        assert t.relatives(t.nodes) == (t.nodes - set(t.leaves()), t.nodes - {t.root})
+        assert len(t) == len(t.nodes) and t.root in t and "not-a-node" not in t
+        for v in t.nodes:
+            t.children_of(v), t.parent_of(v), t.ancestors_of(v)
+    assert builds == []
+    assert caterpillar.leaf_count("s0") == caterpillar.leaf_count("s1") + 1 == 4001
+    assert builds == [caterpillar]
+
+
 
 def test_deep_caterpillar_all_leaves_cover_is_valid():
     # Spine s0..s4000, each inner spine node with one leaf: 4,001 leaves.

@@ -61,8 +61,24 @@ class TestParse:
             parse_tree("# nothing here\n")
 
     def test_malformed_line(self):
-        with pytest.raises(TreeError):
-            parse_tree("r a b")
+        cases = [
+            ("r a b", "line 1: expected 'parent child', got 'r a b'"),
+            # After comment-only, blank and "\r"-ended lines.
+            (
+                "# only a comment\n\nr a\r\n   # x\r\n\r\nr b c\r\nr d\n",
+                "line 6: expected 'parent child', got 'r b c\\r'",
+            ),
+            # One field on a last line with no trailing newline.
+            ("r a\nr b\nr", "line 3: expected 'parent child', got 'r'"),
+            ("\n\n\nr\n", "line 4: expected 'parent child', got 'r'"),
+            ("r a\nr b x y\n", "line 2: expected 'parent child', got 'r b x y'"),
+            ("r a\nb  # note\n", "line 2: expected 'parent child', got 'b  # note'"),
+        ]
+        for text, message in cases:
+            with pytest.raises(TreeError) as info:
+                parse_tree(text)
+            assert type(info.value) is TreeError
+            assert str(info.value) == message
 
     def test_lines_end_only_at_newline(self):
         # str.splitlines would also break at the form feed, read two edges
@@ -210,11 +226,11 @@ class TestQueries:
         assert t.preorder[start] == "a"
         assert set(t.preorder[start:end]) == {"a", "c", "d"}
 
-    def test_spans_unknown_label(self):
+    def test_span_unknown_label(self):
         t = parse_tree("r a\nr b")
         with pytest.raises(UnknownNodeError, match="'zz'"):
-            t.spans(["a", "zz", "b"])
-        assert t.spans([]) == []
+            t.span("zz")
+        assert [t.span(v) for v in ("r", "a", "b")] == [(0, 3), (1, 2), (2, 3)]
 
     def test_depth_parent_invariant(self):
         t = parse_tree("r a\nr b\na c\nc d")
@@ -319,9 +335,9 @@ def test_random_attachment_tree_invariants(parent_picks):
         assert t.leaves_from[start] - t.leaves_from[end] == t.leaf_count(v)
     assert t.leaves_from[0] == t.leaf_count(t.root) == len(t.leaves())
     assert t.leaves_from[len(t)] == 0
-    # Any labels, repeats included, from a list or an iterator.
-    vs = [labels[pick % len(labels)] for pick in parent_picks]
-    assert t.spans(vs) == t.spans(iter(vs)) == sorted(map(t.span, vs))
+    # Each node's span starts at its own pre-order position.
+    assert [t.span(v) for v in t.preorder] == sorted(map(t.span, t.nodes))
+    assert [t.span(v)[0] for v in t.preorder] == list(range(len(t)))
     again = parse_tree(serialize_tree(t))
     assert again.nodes == t.nodes and set(again.edges()) == set(t.edges())
 
