@@ -12,7 +12,7 @@ for the Stirling rows, with no recursion and no cache.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import comb, exp, log
+from math import comb, exp, inf, log
 from operator import mul
 
 
@@ -154,14 +154,22 @@ GrowthRow = namedtuple("GrowthRow", "n p_value ratio nth_root")
 
 def growth_report(delta: int, gamma: int, n_max: int) -> list[GrowthRow]:
     """Exact counts with consecutive ratios and n-th roots for eyeballing growth;
-    each ratio is p_n / p_{n-1} correctly rounded, as float(Fraction(...)) gives."""
+    each ratio is p_n / p_{n-1} correctly rounded, as float(Fraction(...)) gives,
+    and a ratio or n-th root past float range is `math.inf`."""
     if n_max < 2:
         raise InvalidParamsError(f"n_max must be >= 2, got {n_max}")
     rows = []
     prev: int | None = None
     for n, p in enumerate(series_coefficients(delta, gamma, n_max), 1):
-        ratio = p / prev if prev else None
-        # exp/log rather than p ** (1/n), which converts p to a float
-        rows.append(GrowthRow(n=n, p_value=p, ratio=ratio, nth_root=exp(log(p) / n)))
+        try:
+            ratio = p / prev if prev else None
+        except OverflowError:
+            ratio = inf
+        try:
+            # exp/log rather than p ** (1/n), which converts p to a float
+            nth_root = exp(log(p) / n)
+        except OverflowError:
+            nth_root = inf
+        rows.append(GrowthRow(n=n, p_value=p, ratio=ratio, nth_root=nth_root))
         prev = p
     return rows

@@ -102,7 +102,7 @@ def validate(tree: Tree, cover: Cover) -> CoverReport:
 
     Costs O(m + |ancestors| + |descendants|) for a cover with m members, at
     most O(N) for N tree nodes and never more than building the tree, and
-    reads no pre-order index.  A member that is not a tree node raises
+    reads no leaf counts.  A member that is not a tree node raises
     `UnknownNodeError` from the tree.
     """
     members = frozenset().union(*cover)

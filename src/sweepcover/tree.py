@@ -5,13 +5,9 @@ Node labels are opaque strings; anything that produces deterministic output
 sorts labels lexicographically.
 
 Construction keeps the children and parents and checks that they form one
-tree.  A pre-order index is built on first use: `preorder` lists the nodes,
-children in stored order, `span(v)` gives v's position in it and the end of
-v's subtree (v's descendants are a slice of `preorder`), and `leaves_from[i]`
-counts the leaves among `preorder[i:]`, so the subtree with span (start, end)
-holds `leaves_from[start] - leaves_from[end]` leaves.  The build is
-idempotent, so concurrent first calls only repeat work and the tree stays
-safe to share between threads.
+tree.  A leaf table, each node's leaf count, is built on the first
+`leaf_count` call.  The build is idempotent, so concurrent first calls only
+repeat work and the tree stays safe to share between threads.
 """
 
 from __future__ import annotations
@@ -91,11 +87,11 @@ class Tree:
 
     `children` maps a node to the ordered list of its children; nodes that
     appear only as children need no entry.  Construction validates that the
-    edges form a single tree rooted at `root`; the pre-order index behind
-    `preorder`, `span`, `leaves_from` and `leaf_count` is built on first use.
+    edges form a single tree rooted at `root`; the leaf table behind
+    `leaf_count` is built on its first call.
     """
 
-    __slots__ = ("root", "nodes", "_children", "_parent", "_index")
+    __slots__ = ("root", "nodes", "_children", "_parent", "_leaves")
 
     def __init__(self, root: str, children: Mapping[str, Iterable[str]]):
         child_map = {p: tuple(kids) for p, kids in children.items()}
@@ -131,34 +127,7 @@ class Tree:
         self.nodes = frozenset(nodes)
         self._children = child_map
         self._parent = parent
-        self._index = None
-
-    def _build_index(self) -> tuple[tuple[str, ...], dict[str, tuple[int, int]], tuple[int, ...]]:
-        child_map = self._children
-        order: list[str] = []
-        stack = [self.root]
-        while stack:
-            order.append(v := stack.pop())
-            stack.extend(child_map.get(v, ())[::-1])
-        # A subtree ends where the subtree of its last child ends, and
-        # leaves_from[i] counts the leaves among order[i:].
-        span: dict[str, tuple[int, int]] = {}
-        leaves_from = [0] * (len(order) + 1)
-        for i in range(len(order) - 1, -1, -1):
-            v = order[i]
-            kids = child_map.get(v)
-            if kids:
-                span[v] = (i, span[kids[-1]][1])
-                leaves_from[i] = leaves_from[i + 1]
-            else:
-                span[v] = (i, i + 1)
-                leaves_from[i] = leaves_from[i + 1] + 1
-        self._index = (tuple(order), span, tuple(leaves_from))
-        return self._index
-
-    # The pre-order index, built on first use: (preorder, span, leaves_from).
-    preorder = property(lambda self: (self._index or self._build_index())[0])
-    leaves_from = property(lambda self: (self._index or self._build_index())[2])
+        self._leaves = None
 
     # -- basic queries -------------------------------------------------
 
@@ -172,17 +141,21 @@ class Tree:
         if v not in self.nodes:
             raise UnknownNodeError(f"unknown node {v!r}")
 
-    def span(self, v: str) -> tuple[int, int]:
-        """(start, end) such that v's subtree is `preorder[start:end]`, v first."""
-        self._require(v)
-        return (self._index or self._build_index())[1][v]
-
     def leaf_count(self, v: str) -> int:
         """Number of leaves in v's subtree (1 when v is a leaf)."""
         self._require(v)
-        _, span, leaves_from = self._index or self._build_index()
-        start, end = span[v]
-        return leaves_from[start] - leaves_from[end]
+        if (leaves := self._leaves) is None:
+            # Walk breadth-first from the root, then fill the table children first.
+            children = self._children
+            order = [self.root]
+            for u in order:
+                order.extend(children.get(u, ()))
+            leaves = {}
+            for u in reversed(order):
+                kids = children.get(u)
+                leaves[u] = sum(map(leaves.__getitem__, kids)) if kids else 1
+            self._leaves = leaves
+        return leaves[v]
 
     def children_of(self, v: str) -> tuple[str, ...]:
         self._require(v)
@@ -352,7 +325,10 @@ def canonical_code(tree: Tree) -> str:
     order).
     """
 
+    order = [tree.root]
+    for v in order:
+        order.extend(tree.children_of(v))
     code: dict[str, str] = {}
-    for v in reversed(tree.preorder):
+    for v in reversed(order):
         code[v] = "(" + "".join(sorted(code.pop(c) for c in tree.children_of(v))) + ")"
     return code[tree.root]

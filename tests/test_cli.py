@@ -411,6 +411,26 @@ class TestReports:
             for r in growth_report(delta, 1, 30):
                 assert r.nth_root == pytest.approx(r.p_value ** (1 / r.n), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "delta,n_max,cells",
+        [
+            (1100, 3, [["inf", "2.60605e+165"], ["1.67211e+193", "4.84257e+174"]]),
+            (3000, 2, [["inf", "inf"]]),
+        ],
+    )
+    def test_growth_report_prints_inf_past_float_range(self, capsys, delta, n_max, cells):
+        code, out, err = run(capsys, "growth-report", "--delta", str(delta), "--n-max", str(n_max))
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        counts = series_coefficients(delta, 0, n_max)
+        assert [int(r[1]) for r in rows] == counts
+        # Floats stop below 2**1024, and no cell here is near that edge: a
+        # cell is inf iff its exact value needs more than 1024 bits.
+        for (n, _, ratio, root), prev, p in zip(rows[1:], counts, counts[1:]):
+            assert (ratio == "inf") == (p.bit_length() - prev.bit_length() > 1024), (n, ratio)
+            assert (root == "inf") == (p.bit_length() > 1024 * int(n)), (n, root)
+        assert [r[2:] for r in rows[1:]] == cells
+
     # The message names only what the user gave: these commands take no n.
     @pytest.mark.parametrize("command", ["bound-report", "growth-report"])
     @pytest.mark.parametrize(

@@ -339,15 +339,13 @@ def test_relatives_match_parent_walks(case, data):
     assert tree.relatives(iter(vs) if as_iterator else vs) == (up, down)
 
 
-def test_validate_builds_no_preorder_index(monkeypatch):
-    builds = []
-    build = Tree._build_index
+def test_validate_reads_no_leaf_counts(monkeypatch):
+    leaf_count = Tree.leaf_count
 
-    def counted(self):
-        builds.append(self)
-        return build(self)
+    def refused(self, v):
+        raise AssertionError(f"leaf_count({v!r}) called")
 
-    monkeypatch.setattr(Tree, "_build_index", counted)
+    monkeypatch.setattr(Tree, "leaf_count", refused)
     spine = [f"s{i}" for i in range(4001)]
     caterpillar = Tree(spine[0], {s: [f"l{i}", spine[i + 1]] for i, s in enumerate(spine[:-1])})
     tree = random_labeled_tree(random.Random(23), 40)
@@ -363,9 +361,7 @@ def test_validate_builds_no_preorder_index(monkeypatch):
         assert len(t) == len(t.nodes) and t.root in t and "not-a-node" not in t
         for v in t.nodes:
             t.children_of(v), t.parent_of(v), t.ancestors_of(v)
-    assert builds == []
-    assert caterpillar.leaf_count("s0") == caterpillar.leaf_count("s1") + 1 == 4001
-    assert builds == [caterpillar]
+    assert leaf_count(caterpillar, "s0") == leaf_count(caterpillar, "s1") + 1 == 4001
 
 
 

@@ -351,7 +351,15 @@ def test_rooted_tree_class_counts():
     assert sizes == sorted(sizes)
     assert [sizes.count(n) for n in range(1, 11)] == expected
     assert len({canonical_code(t) for t in trees}) == 1205
-    assert all(t.preorder == tuple(f"n{i}" for i in range(len(t))) for t in trees)
+
+    def preorder(t):
+        order, stack = [], [t.root]
+        while stack:
+            order.append(v := stack.pop())
+            stack.extend(reversed(t.children_of(v)))
+        return order
+
+    assert all(preorder(t) == [f"n{i}" for i in range(len(t))] for t in trees)
     assert list(all_rooted_trees(0)) == list(all_rooted_trees(-1)) == []
 
 

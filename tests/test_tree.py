@@ -222,15 +222,14 @@ class TestQueries:
 
     def test_subtree(self):
         t = parse_tree("r a\nr b\na c\na d")
-        start, end = t.span("a")
-        assert t.preorder[start] == "a"
-        assert set(t.preorder[start:end]) == {"a", "c", "d"}
+        assert t.relatives({"a"})[1] == {"c", "d"}
+        assert [t.leaf_count(v) for v in ("r", "a", "b", "c")] == [3, 2, 1, 1]
 
-    def test_span_unknown_label(self):
+    def test_leaf_count_unknown_label(self):
         t = parse_tree("r a\nr b")
         with pytest.raises(UnknownNodeError, match="'zz'"):
-            t.span("zz")
-        assert [t.span(v) for v in ("r", "a", "b")] == [(0, 3), (1, 2), (2, 3)]
+            t.leaf_count("zz")
+        assert [t.leaf_count(v) for v in ("r", "a", "b")] == [2, 1, 1]
 
     def test_depth_parent_invariant(self):
         t = parse_tree("r a\nr b\na c\nc d")
@@ -258,7 +257,10 @@ class TestIld:
     def test_gamma_paths_between_stars(self):
         t = build_ild_truncated(IldSpec(delta=2, gamma=2, star_levels=2))
         # root path: gamma edges to the first star, then per child again.
-        star, *next_stars = [v for v in t.preorder if len(t.children_of(v)) > 1]
+        order = [t.root]  # breadth-first, so the first star comes first
+        for v in order:
+            order.extend(t.children_of(v))
+        star, *next_stars = [v for v in order if len(t.children_of(v)) > 1]
         assert len(t.ancestors_of(star)) == 2
         assert len(next_stars) == 2
         for nxt in next_stars:
@@ -326,18 +328,10 @@ def test_random_attachment_tree_invariants(parent_picks):
         assert all(t.parent_of(c) == v for c in t.children_of(v))
         p = t.parent_of(v)
         assert t.ancestors_of(v) == (set() if p is None else {p} | t.ancestors_of(p))
-        start, end = t.span(v)
-        assert t.preorder[start] == v
-        assert set(t.preorder[start + 1 : end]) == {u for u in t.nodes if v in t.ancestors_of(u)}
-        assert {u for u in t.nodes if t.span(u)[0] < start < t.span(u)[1]} == t.ancestors_of(v)
-        below = t.preorder[start:end]
-        assert t.leaf_count(v) == sum(1 for u in below if not t.children_of(u))
-        assert t.leaves_from[start] - t.leaves_from[end] == t.leaf_count(v)
-    assert t.leaves_from[0] == t.leaf_count(t.root) == len(t.leaves())
-    assert t.leaves_from[len(t)] == 0
-    # Each node's span starts at its own pre-order position.
-    assert [t.span(v) for v in t.preorder] == sorted(map(t.span, t.nodes))
-    assert [t.span(v)[0] for v in t.preorder] == list(range(len(t)))
+        below = t.relatives([v])[1]
+        assert below == {u for u in t.nodes if v in t.ancestors_of(u)}
+        assert t.leaf_count(v) == sum(1 for u in [v, *below] if not t.children_of(u))
+    assert t.leaf_count(t.root) == len(t.leaves())
     again = parse_tree(serialize_tree(t))
     assert again.nodes == t.nodes and set(again.edges()) == set(t.edges())
 
