@@ -55,7 +55,7 @@ DISCREPANCY_MAX_COVERS = 10**6
 
 
 def _read_tree(path: str):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:  # only "\n" ends a line
         return parse_tree(fh.read())
 
 

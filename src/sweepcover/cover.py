@@ -102,8 +102,9 @@ def validate(tree: Tree, cover: Cover) -> CoverReport:
 
     Costs O(m + |ancestors| + |descendants|) for a cover with m members, at
     most O(N) for N tree nodes and never more than building the tree, and
-    reads no leaf counts.  A member that is not a tree node raises
-    `UnknownNodeError` from the tree.
+    reads no leaf counts.  Coverage counts members, ancestors and descendants,
+    or their union when a member is nested.  A member that is not a tree
+    node raises `UnknownNodeError` from the tree.
     """
     members = frozenset().union(*cover)
     if not members <= tree.nodes:
@@ -134,13 +135,16 @@ def validate(tree: Tree, cover: Cover) -> CoverReport:
         flag("siblings", min(tuple(sorted(b)) for b in mixed))
 
     ancestors, descendants = tree.relatives(members)
+    nested = members & descendants
 
-    # 3: blocks plus all their ancestors and descendants exhaust the nodes.
-    if len(members | ancestors | descendants) < len(tree):
-        flag("coverage", (min(tree.nodes - members - ancestors - descendants),))
+    # 3: blocks plus all their ancestors and descendants exhaust the nodes.  With
+    # no member nested, no node is in two of the three sets, so their sizes add up.
+    parts = (members, ancestors, descendants)
+    covered = len(frozenset().union(*parts)) if nested else sum(map(len, parts))
+    if covered < len(tree):
+        flag("coverage", (min(tree.nodes.difference(*parts)),))
 
     # 4: no two cover nodes are in an ancestor-descendant relation.
-    nested = members & descendants
     if nested:
         v = min(nested)
         flag("no-ancestry", (min(tree.ancestors_of(v) & members), v))

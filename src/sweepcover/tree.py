@@ -86,33 +86,36 @@ class Tree:
     """Immutable rooted directed tree over string-labeled nodes.
 
     `children` maps a node to the ordered list of its children; nodes that
-    appear only as children need no entry.  Construction validates that the
-    edges form a single tree rooted at `root`; the leaf table behind
-    `leaf_count` is built on its first call.
+    appear only as children need no entry.  Construction copies the mapping,
+    checks its labels and validates that the edges form a single tree rooted
+    at `root`; the leaf table behind `leaf_count` is built on its first call.
     """
 
     __slots__ = ("root", "nodes", "_children", "_parent", "_leaves")
 
     def __init__(self, root: str, children: Mapping[str, Iterable[str]]):
-        child_map = {p: tuple(kids) for p, kids in children.items()}
-        # One C-level test per kind of fault (labels are scanned joined by "/", which is
-        # neither whitespace nor "#"; `str.split` breaks where `\s` matches); only a
-        # faulty input pays for the edge walk that names its first fault.
+        child_map = {p: list(kids) for p, kids in children.items()}
+        # One C-level scan for a bad label (labels are joined by "/", which is
+        # neither whitespace nor "#"; `str.split` breaks where `\s` matches).
         try:
             parent = {c: p for p, kids in child_map.items() for c in kids}
-            nodes = {root, *child_map, *parent}
-            joined = "/".join(nodes)
-            faulty = (
-                len(parent) != sum(map(len, child_map.values()))
-                or root in parent
-                or "" in nodes
-                or "#" in joined
-                or joined.split(None, 1) != [joined]
-            )
+            labels = {root, *child_map, *parent}
+            joined = "/".join(labels)
+            faulty = "" in labels or "#" in joined or joined.split(None, 1) != [joined]
         except TypeError:  # a label that is not a string
             faulty = True
         if faulty:
             _raise_first_fault(root, child_map)
+        self._build(root, child_map, parent)
+
+    def _build(self, root: str, child_map: dict[str, list[str]], parent: dict[str, str]) -> None:
+        """Keep the edges if they form one tree rooted at `root`, labels already checked.
+
+        `parent` maps each child to a parent.  Only a faulty input is walked edge by edge.
+        """
+        if len(parent) != sum(map(len, child_map.values())) or root in parent:
+            _raise_first_fault(root, child_map)
+        nodes = frozenset(chain(parent, child_map, (root,)))
         # Every node must be reached; with one parent each and none for the root, it ends.
         reached = [root]
         for v in reached:
@@ -124,7 +127,7 @@ class Tree:
                 raise MultipleRootsError(f"unreachable parentless nodes: {orphans}")
             raise CycleError(f"nodes not reachable from root: {stranded}")
         self.root = root
-        self.nodes = frozenset(nodes)
+        self.nodes = nodes
         self._children = child_map
         self._parent = parent
         self._leaves = None
@@ -158,12 +161,14 @@ class Tree:
         return leaves[v]
 
     def children_of(self, v: str) -> tuple[str, ...]:
-        self._require(v)
-        return self._children.get(v, ())
+        if (kids := self._children.get(v)) is None:
+            self._require(v)
+        return tuple(kids or ())
 
     def parent_of(self, v: str) -> str | None:
-        self._require(v)
-        return self._parent.get(v)
+        if (p := self._parent.get(v)) is None:
+            self._require(v)
+        return p
 
     def leaves(self) -> tuple[str, ...]:
         return tuple(sorted(v for v in self.nodes if not self._children.get(v)))
@@ -190,7 +195,8 @@ class Tree:
         ancestor already collected, and a subtree walk starts only at a
         member with children and skips a node whose children are collected.
         """
-        if not self.nodes.issuperset(vs := list(vs)):
+        vs = vs if isinstance(vs, (set, frozenset)) else list(vs)
+        if not self.nodes.issuperset(vs):
             self._require(next(v for v in vs if v not in self.nodes))
         parent, children = self._parent, self._children
         ancestors: set[str] = set()
@@ -235,12 +241,15 @@ def parse_tree(text: str) -> Tree:
     '#' starts a comment; blank lines are ignored.  Children keep the order
     in which their edges appear.  Lines end only at "\\n" (a "\\r" before it is
     whitespace), so other characters `str.splitlines` breaks at, such as
-    form feeds, separate fields and do not shift line numbers.
+    form feeds, separate fields and do not shift line numbers.  Fields are
+    `str.split` tokens, so they skip `Tree`'s label scan: the grouped children
+    and the rows' parent map go straight to its build step.
     """
-    children: dict[str, list[str]] = {}
     lines = _strip_comments("", text).split("\n")
+    rows = list(filter(None, map(str.split, lines)))
+    children: dict[str, list[str]] = {}
     try:
-        for p, c in filter(None, map(str.split, lines)):
+        for p, c in rows:
             children.setdefault(p, []).append(c)
     except ValueError:  # a line with one field or more than two
         lineno = next(i for i, line in enumerate(lines, 1) if len(line.split()) not in (0, 2))
@@ -248,10 +257,12 @@ def parse_tree(text: str) -> Tree:
         raise TreeError(f"line {lineno}: expected 'parent child', got {raw!r}") from None
     if not children:
         raise EmptyDocumentError("no edges in document")
-    # The root is a parent that is nobody's child.  Tree reports duplicate
-    # edges, second parents, cycles and further roots.
-    heads = set(children).difference(chain.from_iterable(children.values()))
-    return Tree(min(heads, default=next(iter(children))), children)
+    parent = {c: p for p, c in rows}
+    # The root is a parent that is nobody's child.
+    heads = children.keys() - parent.keys()
+    tree = Tree.__new__(Tree)
+    tree._build(min(heads, default=next(iter(children))), children, parent)
+    return tree
 
 
 def serialize_tree(tree: Tree) -> str:

@@ -85,6 +85,26 @@ class TestEnumerate:
         assert (code, out) == (2, "")
         assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
 
+    def test_tree_file_keeps_its_line_ends(self, capsys, tmp_path):
+        # Only "\n" ends a line: a lone "\r" joins two edges into one bad line,
+        # and a "\r" before "\n" is whitespace that a malformed line quotes.
+        for data, message in (
+            (b"r a\rr b\n", "line 1: expected 'parent child', got 'r a\\rr b'"),
+            (b"r a\r\nr b c\r\n", "line 2: expected 'parent child', got 'r b c\\r'"),
+        ):
+            bad = tmp_path / "bad.tree"
+            bad.write_bytes(data)
+            code, out, err = run(capsys, "enumerate", "--tree", str(bad), "--n", "1")
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+        text = "# a tree\nr a  # edge\n\nr b\na c\na d\n"
+        lf, crlf = tmp_path / "lf.tree", tmp_path / "crlf.tree"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        for n in ("1", "2", "3"):
+            want = run(capsys, "enumerate", "--tree", str(lf), "--n", n)
+            assert want[0] == 0 and want[1]
+            assert run(capsys, "enumerate", "--tree", str(crlf), "--n", n) == want
+
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run(capsys, "enumerate", "--tree", "/no/such/file", "--n", "1")
         assert code == 2

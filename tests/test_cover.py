@@ -31,6 +31,8 @@ FORK = parse_tree("r a\nr b\na c\na d")
 UNCOVERED_INNER = (parse_tree("r a\nr z\na b\na c"), make_cover([["z"]]))
 # Nested members that hold every leaf: coverage holds, no-ancestry fails.
 NESTED_COVERING = (parse_tree("r a\nr b\na c"), make_cover([["a"], ["b"], ["c"]]))
+# Four unnested members that miss one node: the count falls one short.
+ONE_SHORT = (parse_tree("r a\nr b\nr c\nr d\nr e"), make_cover([["a"], ["b"], ["c"], ["d"]]))
 
 
 class TestValidate:
@@ -283,7 +285,8 @@ def trees_with_covers(draw, max_nodes=30):
 
     The cover mixes part of a valid cover reached by child swaps with
     arbitrary node sets and sibling sets, so a few covers are valid and most
-    are not.
+    are not.  A tree with edges is built either by `Tree` or by `parse_tree`
+    from its edge text.
     """
     size = draw(st.integers(min_value=1, max_value=max_nodes))
     labels = [f"v{i}" for i in draw(st.permutations(range(size)))]
@@ -292,6 +295,10 @@ def trees_with_covers(draw, max_nodes=30):
         parent = draw(st.integers(min_value=0, max_value=i - 1))
         children.setdefault(labels[parent], []).append(labels[i])
     tree = Tree(labels[0], children)
+    if children and draw(st.booleans()):
+        parsed = parse_tree("".join(f"{p} {c}\n" for p, kids in children.items() for c in kids))
+        assert (parsed.root, parsed.edges()) == (tree.root, tree.edges())
+        tree = parsed
     nodes = st.sampled_from(sorted(tree.nodes))
     swapped = [list(b) for b in random_valid_cover(draw(st.randoms()), tree)]
     blocks = swapped[: draw(st.integers(min_value=0, max_value=len(swapped)))]
@@ -306,6 +313,7 @@ def trees_with_covers(draw, max_nodes=30):
 @given(trees_with_covers(), st.booleans())
 @example(UNCOVERED_INNER, False)
 @example(NESTED_COVERING, False)
+@example(ONE_SHORT, False)
 def test_validate_matches_definitions(case, foreign):
     tree, cover = case
     if foreign:

@@ -394,3 +394,53 @@ def test_tree_reports_first_fault(root, children):
     except TreeError as exc:
         got = (type(exc).__name__, str(exc))
     assert got == first_fault(root, children)
+
+
+@st.composite
+def edge_documents(draw):
+    """Edges of a random tree, maybe with one fault injected, in a random order.
+
+    A fault is a repeated edge, a second parent, a cycle (two new nodes, or
+    an edge into the root) or a second root.
+    """
+    size = draw(st.integers(min_value=2, max_value=12))
+    labels = [f"n{i}" for i in draw(st.permutations(range(size)))]
+    edges = [(labels[draw(st.integers(0, i - 1))], labels[i]) for i in range(1, size)]
+    nodes = st.sampled_from(labels)
+    fault = draw(st.sampled_from([None, "duplicate", "second parent", "cycle", "root", "forest"]))
+    if fault == "duplicate":
+        edges.append(draw(st.sampled_from(edges)))
+    elif fault == "second parent":
+        edges.append((draw(nodes), draw(st.sampled_from(labels[1:]))))
+    elif fault == "cycle":
+        edges += [("x0", "x1"), ("x1", "x0")]
+    elif fault == "root":
+        edges.append((draw(nodes), labels[0]))
+    elif fault == "forest":  # the extra root sorts before or after the tree's
+        edges.append((draw(st.sampled_from(["a0", "x0"])), "x1"))
+    return draw(st.permutations(edges))
+
+
+@settings(max_examples=300)
+@given(edge_documents(), st.sampled_from(["\n", "\r\n"]))
+def test_parse_tree_matches_tree(edges, newline):
+    children: dict[str, list[str]] = {}
+    for p, c in edges:
+        children.setdefault(p, []).append(c)
+    heads = set(children) - {c for _, c in edges}
+    root = min(heads, default=edges[0][0])
+
+    def outcome(build):
+        try:
+            t = build()
+        except TreeError as exc:
+            return type(exc), str(exc)
+        return (
+            t.root,
+            t.edges(),
+            t.nodes,
+            {v: (t.children_of(v), t.parent_of(v), t.leaf_count(v)) for v in t.nodes},
+        )
+
+    text = "".join(f"{p} {c}{newline}" for p, c in edges)
+    assert outcome(lambda: parse_tree(text)) == outcome(lambda: Tree(root, children))
