@@ -55,7 +55,7 @@ DISCREPANCY_MAX_COVERS = 10**6
 
 
 def _read_tree(path: str):
-    with open(path, encoding="utf-8", newline="") as fh:  # only "\n" ends a line
+    with open(path, encoding="utf-8-sig", newline="") as fh:  # no BOM; only "\n" ends a line
         return parse_tree(fh.read())
 
 
@@ -114,7 +114,7 @@ def _cmd_enumerate(args: SimpleNamespace) -> str:
 
 def _cmd_validate(args: SimpleNamespace) -> str:
     tree = _read_tree(args.tree)
-    with open(args.cover, encoding="utf-8") as fh:
+    with open(args.cover, encoding="utf-8-sig") as fh:
         cover = cover_from_json(fh.read())
     report = validate(tree, cover)
     payload = {

@@ -20,10 +20,6 @@ class InvalidParamsError(ValueError):
     """A size, degree or range parameter is out of bounds (CLI exit 3)."""
 
 
-class NonIntegerResultError(ArithmeticError):
-    """The Raney formula division did not come out exact."""
-
-
 def _nonsingleton_rows(n_max: int, m_max: int) -> list[list[int] | None]:
     """``R[n][m]`` = count_nonsingleton(n, m) for n_max - m_max <= n <= n_max and m <= m_max
     (earlier rows are None), by the associated Stirling recurrence
@@ -45,14 +41,10 @@ def count_nonsingleton(n: int, m: int) -> int:
 
 
 def raney(p: int, r: int, k: int) -> int:
-    """Raney number r/(kp+r) * binom(kp+r, k), asserted to be an integer."""
-    if p < 1 or r < 1 or k < 0 or k * p + r <= 0:
+    """Raney number r/(kp+r) * binom(kp+r, k), an integer for p, r >= 1 and k >= 0."""
+    if p < 1 or r < 1 or k < 0:
         raise InvalidParamsError(f"bad Raney parameters p={p}, r={r}, k={k}")
-    numerator = r * comb(k * p + r, k)
-    denominator = k * p + r
-    if numerator % denominator:
-        raise NonIntegerResultError(f"r/(kp+r)*C(kp+r,k) not integral for p={p}, r={r}, k={k}")
-    return numerator // denominator
+    return r * comb(k * p + r, k) // (k * p + r)
 
 
 def catalan(k: int) -> int:

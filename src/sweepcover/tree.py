@@ -60,26 +60,22 @@ def _check_label(label: str) -> None:
         raise TreeError(f"node label contains whitespace or '#': {label!r}")
 
 
-def _raise_first_fault(root: str, child_map: Mapping[str, tuple[str, ...]]) -> None:
-    """Raise for the first fault met walking the edges in their given order; never returns.
+def _parent_map(child_map: Mapping[str, list[str]]) -> dict[str, str]:
+    """Each child's parent, walking parents in their given order and each one's children in order.
 
-    Called only on edges known to hold a bad or non-string label, a
-    repeated child or a root with a parent.
+    Raises at the first bad label, repeated edge or second parent met.
     """
-    _check_label(root)
     parent: dict[str, str] = {}
     for p, kids in child_map.items():
         _check_label(p)
-        seen: set[str] = set()
         for c in kids:
             _check_label(c)
-            if c in seen:
-                raise DuplicateEdgeError(f"duplicate edge {p} -> {c}")
-            seen.add(c)
-            if c in parent:
-                raise MultipleParentsError(f"node {c} has parents {parent[c]} and {p}")
+            if (q := parent.get(c)) is not None:
+                if q == p:
+                    raise DuplicateEdgeError(f"duplicate edge {p} -> {c}")
+                raise MultipleParentsError(f"node {c} has parents {q} and {p}")
             parent[c] = p
-    raise CycleError(f"root {root} has a parent")
+    return parent
 
 
 class Tree:
@@ -87,34 +83,25 @@ class Tree:
 
     `children` maps a node to the ordered list of its children; nodes that
     appear only as children need no entry.  Construction copies the mapping,
-    checks its labels and validates that the edges form a single tree rooted
-    at `root`; the leaf table behind `leaf_count` is built on its first call.
+    checks the root label, walks the edges once in order to check the other
+    labels and build the parent map, and validates that the edges form a
+    single tree rooted at `root`; `leaf_count`'s table is built on first call.
     """
 
     __slots__ = ("root", "nodes", "_children", "_parent", "_leaves")
 
     def __init__(self, root: str, children: Mapping[str, Iterable[str]]):
         child_map = {p: list(kids) for p, kids in children.items()}
-        # One C-level scan for a bad label (labels are joined by "/", which is
-        # neither whitespace nor "#"; `str.split` breaks where `\s` matches).
-        try:
-            parent = {c: p for p, kids in child_map.items() for c in kids}
-            labels = {root, *child_map, *parent}
-            joined = "/".join(labels)
-            faulty = "" in labels or "#" in joined or joined.split(None, 1) != [joined]
-        except TypeError:  # a label that is not a string
-            faulty = True
-        if faulty:
-            _raise_first_fault(root, child_map)
-        self._build(root, child_map, parent)
+        _check_label(root)
+        self._build(root, child_map, _parent_map(child_map))
 
     def _build(self, root: str, child_map: dict[str, list[str]], parent: dict[str, str]) -> None:
-        """Keep the edges if they form one tree rooted at `root`, labels already checked.
+        """Keep the edges if they form one tree rooted at `root`.
 
-        `parent` maps each child to a parent.  Only a faulty input is walked edge by edge.
+        `parent` maps each child to its one parent, labels and edges checked.
         """
-        if len(parent) != sum(map(len, child_map.values())) or root in parent:
-            _raise_first_fault(root, child_map)
+        if root in parent:
+            raise CycleError(f"root {root} has a parent")
         nodes = frozenset(chain(parent, child_map, (root,)))
         # Every node must be reached; with one parent each and none for the root, it ends.
         reached = [root]
@@ -242,7 +229,8 @@ def parse_tree(text: str) -> Tree:
     in which their edges appear.  Lines end only at "\\n" (a "\\r" before it is
     whitespace), so other characters `str.splitlines` breaks at, such as
     form feeds, separate fields and do not shift line numbers.  Fields are
-    `str.split` tokens, so they skip `Tree`'s label scan: the grouped children
+    `str.split` tokens, which are always good labels, so a document whose
+    rows name each child once skips `Tree`'s edge walk: the grouped children
     and the rows' parent map go straight to its build step.
     """
     lines = _strip_comments("", text).split("\n")
@@ -258,6 +246,8 @@ def parse_tree(text: str) -> Tree:
     if not children:
         raise EmptyDocumentError("no edges in document")
     parent = {c: p for p, c in rows}
+    if len(parent) != len(rows):  # a child repeats: the walk names the first fault
+        _parent_map(children)
     # The root is a parent that is nobody's child.
     heads = children.keys() - parent.keys()
     tree = Tree.__new__(Tree)

@@ -106,8 +106,8 @@ def test_criterion_5_identity_suite():
     for p in range(1, 7):
         for r in range(1, 7):
             for k in range(31):
-                value = raney(p, r, k)  # raises on non-integral division
-                ok = ok and value >= 1
+                value = raney(p, r, k)
+                ok = ok and value >= 1 and value * (k * p + r) == r * comb(k * p + r, k)
     for k in range(1, 13):
         for n in range(1, k + 1):
             ok = ok and sum(1 for _ in compositions(k, n)) == comb(k - 1, n - 1)

@@ -246,6 +246,25 @@ class TestValidate:
         code, out, err = run(capsys, "validate", "--tree", star_file, "--cover", str(cov))
         assert (code, out, err) == (2, "", "error: cover lists a block twice\n")
 
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        # A UTF-8 byte-order mark before the first byte is not part of a label.
+        docs = {"tree": "# a tree\nr a\nr b\na c\n", "cover": '[["c"], ["b"]]'}
+        for name, text in docs.items():
+            (tmp_path / name).write_bytes(text.encode())
+            (tmp_path / f"{name}-bom").write_bytes(b"\xef\xbb\xbf" + text.encode())
+        plain, bom = (
+            {"tree": str(tmp_path / f"tree{s}"), "cover": str(tmp_path / f"cover{s}")}
+            for s in ("", "-bom")
+        )
+        for n in ("1", "2"):
+            want = run(capsys, "enumerate", "--tree", plain["tree"], "--n", n)
+            assert want[0] == 0 and want[1]
+            assert run(capsys, "enumerate", "--tree", bom["tree"], "--n", n) == want
+        want = run(capsys, "validate", "--tree", plain["tree"], "--cover", plain["cover"])
+        assert want == (0, "valid: True\n", "")
+        for tree, cover in ((bom["tree"], plain["cover"]), (plain["tree"], bom["cover"])):
+            assert run(capsys, "validate", "--tree", tree, "--cover", cover) == want
+
 
 TREE_LABELS = ["r", "a", "b", "c", "é"]
 LABELS = st.sampled_from(TREE_LABELS + ["#", "a b", ""])

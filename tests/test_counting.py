@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from sweepcover.cli import main
 from sweepcover.counting import (
     InvalidParamsError,
-    NonIntegerResultError,
     catalan,
     count_nonsingleton,
     growth_report,
@@ -98,9 +97,6 @@ class TestRaney:
     def test_bad_params(self):
         with pytest.raises(InvalidParamsError):
             raney(0, 1, 2)
-
-    def test_non_integer_error_exists(self):
-        assert issubclass(NonIntegerResultError, ArithmeticError)
 
 
 class TestPCount:

@@ -97,6 +97,19 @@ class TestParse:
         with pytest.raises(TreeError, match=r"^line 2: "):
             parse_tree("r a\r\nr b c\r\n")
 
+    def test_valid_document_skips_the_edge_walk(self, monkeypatch):
+        # Rows that name each child once build without a per-label check.
+        text = "# a tree\r\nr a  # edge\r\n\r\nr b\r\na c\r\na d\r\n"
+        want = parse_tree(text)
+
+        def refuse(label):
+            raise AssertionError(f"label {label!r} checked")
+
+        monkeypatch.setattr("sweepcover.tree._check_label", refuse)
+        got = parse_tree(text)
+        assert (got.root, got.edges()) == (want.root, want.edges())
+        assert got.edges() == (("a", "c"), ("a", "d"), ("r", "a"), ("r", "b"))
+
     def test_label_characters(self):
         every = [chr(i) for i in range(sys.maxunicode + 1)]
         for bad in [ch for ch in every if ch.isspace()] + ["#"]:
@@ -197,6 +210,21 @@ class TestParse:
 
 
 class TestQueries:
+    def test_tree_keeps_no_reference_to_its_input(self):
+        children = {"r": ["a", "b"], "a": ["c", "d"]}
+        t = Tree("r", children)
+        children["r"].append("x")
+        children["a"].clear()
+        children["b"] = ["y", "z"]
+        del children["r"]
+        assert t.edges() == (("a", "c"), ("a", "d"), ("r", "a"), ("r", "b"))
+        assert {v: t.children_of(v) for v in t.nodes} == {
+            "r": ("a", "b"), "a": ("c", "d"), "b": (), "c": (), "d": ()
+        }
+        assert len(t) == 5
+        # The first `leaf_count` call comes after the caller's edits.
+        assert {v: t.leaf_count(v) for v in t.nodes} == {"r": 3, "a": 2, "b": 1, "c": 1, "d": 1}
+
     def test_depth_root_is_zero(self):
         t = parse_tree("r a\nr b")
         assert len(t.ancestors_of("r")) == 0
