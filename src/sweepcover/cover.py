@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Mapping
 
 from .tree import Tree
@@ -100,14 +100,15 @@ class CoverReport(namedtuple("CoverReport", "valid violations witness", defaults
 def validate(tree: Tree, cover: Cover) -> CoverReport:
     """Check all four sweep-cover conditions, reporting every violated one.
 
-    Costs O(m + |ancestors| + |descendants|) for a cover with m members, at
-    most O(N) for N tree nodes and never more than building the tree, and
-    reads no leaf counts.  Coverage counts members, ancestors and descendants,
-    or their union when a member is nested.  A member that is not a tree
-    node raises `UnknownNodeError` from the tree.
+    Coverage holds iff every leaf is a member or lies below one, and a member
+    is nested iff it is a descendant of one.  A cover with m members that
+    passes coverage costs O(m + |descendants|), at most O(N) for N nodes, and
+    reads no leaf counts; ancestors are walked only to name an uncovered
+    node.  A member that is not a tree node raises `UnknownNodeError`.
     """
     members = frozenset().union(*cover)
-    if not members <= tree.nodes:
+    parent = tree.parents()
+    if len(parent.keys() & members) + (tree.root in members) < len(members):
         # The first unknown member in canonical order raises.
         tree.parent_of(next(v for b in canonical_blocks(cover) for v in b if v not in tree))
     violations: list[str] = []
@@ -120,29 +121,30 @@ def validate(tree: Tree, cover: Cover) -> CoverReport:
             witness = wit
 
     # 1: distinct blocks are pairwise disjoint, so their sizes add up to
-    # the number of members.
+    # the number of members.  A block can meet others only at a repeated member.
     if sum(map(len, cover)) != len(members):
+        counts = Counter(itertools.chain.from_iterable(cover))
         seen: set[str] = set()
-        for b in canonical_blocks(cover):
+        for b in canonical_blocks(c for c in cover if max(map(counts.__getitem__, c)) > 1):
             if not seen.isdisjoint(b):
                 flag("disjoint", (min(seen.intersection(b)),))
                 break
             seen.update(b)
 
     # 2: each block contains only siblings.
-    mixed = [b for b in cover if len(b) > 1 and len(set(map(tree.parent_of, b))) > 1]
+    mixed = [b for b in cover if len(b) > 1 and len(set(map(parent.get, b))) > 1]
     if mixed:
         flag("siblings", min(tuple(sorted(b)) for b in mixed))
 
-    ancestors, descendants = tree.relatives(members)
+    descendants = tree.descendants(members)
     nested = members & descendants
 
-    # 3: blocks plus all their ancestors and descendants exhaust the nodes.  With
-    # no member nested, no node is in two of the three sets, so their sizes add up.
-    parts = (members, ancestors, descendants)
-    covered = len(frozenset().union(*parts)) if nested else sum(map(len, parts))
-    if covered < len(tree):
-        flag("coverage", (min(tree.nodes.difference(*parts)),))
+    # 3: every leaf is a member or below one.  The covered nodes with children
+    # are the descendants' parents, so the rest of them are leaves.
+    covered = len(members) + len(descendants) - len(nested)
+    if covered - len(set(map(parent.get, descendants))) < tree.leaf_total():
+        ancestors = tree.relatives(members)[0]
+        flag("coverage", (min(tree.nodes.difference(members, ancestors, descendants)),))
 
     # 4: no two cover nodes are in an ancestor-descendant relation.
     if nested:
@@ -211,13 +213,9 @@ def embedding_tree(tree: Tree, cover: Cover, selection: Mapping[int, str]) -> Tr
         if selection[i] not in b:
             raise BadSelectionError(f"{selection[i]!r} is not in block {b}")
         chosen.append(selection[i])
-    keep = {tree.root}
-    for v in chosen:
-        keep.add(v)
-        keep |= tree.ancestors_of(v)
-    return tree.restrict(keep)
+    return tree.restrict({tree.root, *chosen}.union(*map(tree.ancestors_of, chosen)))
 
 
 def max_cover_size(tree: Tree) -> int:
     """Largest possible sweep-cover size: the number of leaves."""
-    return tree.leaf_count(tree.root)
+    return tree.leaf_total()

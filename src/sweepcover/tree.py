@@ -5,9 +5,9 @@ Node labels are opaque strings; anything that produces deterministic output
 sorts labels lexicographically.
 
 Construction keeps the children and parents and checks that they form one
-tree.  A leaf table, each node's leaf count, is built on the first
-`leaf_count` call.  The build is idempotent, so concurrent first calls only
-repeat work and the tree stays safe to share between threads.
+tree.  The node set and a leaf table, each node's leaf count, are built on
+first use.  The builds are idempotent, so concurrent first calls only repeat
+work and the tree stays safe to share between threads.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from itertools import chain
+from itertools import chain, filterfalse
+from types import MappingProxyType
 
 from .counting import InvalidParamsError
 
@@ -85,51 +86,64 @@ class Tree:
     appear only as children need no entry.  Construction copies the mapping,
     checks the root label, walks the edges once in order to check the other
     labels and build the parent map, and validates that the edges form a
-    single tree rooted at `root`; `leaf_count`'s table is built on first call.
+    single tree rooted at `root`; `nodes` and `leaf_count` build on first use.
     """
 
-    __slots__ = ("root", "nodes", "_children", "_parent", "_leaves")
+    __slots__ = ("root", "_nodes", "_children", "_parent", "_leaves")
 
     def __init__(self, root: str, children: Mapping[str, Iterable[str]]):
         child_map = {p: list(kids) for p, kids in children.items()}
         _check_label(root)
         self._build(root, child_map, _parent_map(child_map))
 
-    def _build(self, root: str, child_map: dict[str, list[str]], parent: dict[str, str]) -> None:
-        """Keep the edges if they form one tree rooted at `root`.
+    def _build(self, root: str, child_map: dict[str, list[str]], parent: dict[str, str]) -> Tree:
+        """Keep the edges, and return self, if they form one tree rooted at `root`.
 
         `parent` maps each child to its one parent, labels and edges checked.
+        Every node must be reached, and only the root may lack a parent.
         """
         if root in parent:
             raise CycleError(f"root {root} has a parent")
-        nodes = frozenset(chain(parent, child_map, (root,)))
-        # Every node must be reached; with one parent each and none for the root, it ends.
+        # With one parent each and none for the root, the walk ends.
         reached = [root]
         for v in reached:
             reached.extend(child_map.get(v, ()))
-        if len(reached) != len(nodes):
-            stranded = sorted(nodes.difference(reached))
+        heads = filterfalse(parent.__contains__, child_map)
+        if len(reached) != len(parent) + 1 or not all(map(root.__eq__, heads)):
+            stranded = sorted(set(chain(parent, child_map, (root,))).difference(reached))
             orphans = [v for v in stranded if v not in parent]
             if orphans:
                 raise MultipleRootsError(f"unreachable parentless nodes: {orphans}")
             raise CycleError(f"nodes not reachable from root: {stranded}")
         self.root = root
-        self.nodes = nodes
+        if not all(child_map.values()):  # a leaf keeps no child list
+            child_map = {p: kids for p, kids in child_map.items() if kids}
+        self._nodes = self._leaves = None
         self._children = child_map
         self._parent = parent
-        self._leaves = None
+        return self
 
     # -- basic queries -------------------------------------------------
 
+    @property
+    def nodes(self) -> frozenset[str]:
+        if (nodes := self._nodes) is None:
+            nodes = self._nodes = frozenset(chain(self._parent, (self.root,)))
+        return nodes
+
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self._parent) + 1
 
     def __contains__(self, label: str) -> bool:
-        return label in self.nodes
+        return label in self._parent or label == self.root
 
     def _require(self, v: str) -> None:
-        if v not in self.nodes:
+        if v not in self._parent and v != self.root:
             raise UnknownNodeError(f"unknown node {v!r}")
+
+    def leaf_total(self) -> int:
+        """Number of leaves in the tree, read without the leaf table."""
+        return len(self._parent) + 1 - len(self._children)
 
     def leaf_count(self, v: str) -> int:
         """Number of leaves in v's subtree (1 when v is a leaf)."""
@@ -157,6 +171,10 @@ class Tree:
             self._require(v)
         return p
 
+    def parents(self) -> Mapping[str, str]:
+        """Read-only view of each node's parent; the root has no entry."""
+        return MappingProxyType(self._parent)
+
     def leaves(self) -> tuple[str, ...]:
         return tuple(sorted(v for v in self.nodes if not self._children.get(v)))
 
@@ -176,23 +194,22 @@ class Tree:
         return out
 
     def relatives(self, vs: Iterable[str]) -> tuple[set[str], set[str]]:
-        """(proper ancestors, proper descendants) of any member of vs.
-
-        Each node is collected once: a parent walk stops at the first
-        ancestor already collected, and a subtree walk starts only at a
-        member with children and skips a node whose children are collected.
-        """
-        vs = vs if isinstance(vs, (set, frozenset)) else list(vs)
-        if not self.nodes.issuperset(vs):
-            self._require(next(v for v in vs if v not in self.nodes))
-        parent, children = self._parent, self._children
-        ancestors: set[str] = set()
-        descendants: set[str] = set()
+        """(proper ancestors, proper descendants) of any member of vs, each collected once."""
+        descendants = self.descendants(vs := list(vs))
+        parent, ancestors = self._parent, set()
         for v in vs:
             p = parent.get(v)
             while p is not None and p not in ancestors:
                 ancestors.add(p)
                 p = parent.get(p)
+        return ancestors, descendants
+
+    def descendants(self, vs: Iterable[str]) -> set[str]:
+        """Proper descendants of any member of vs, each collected once."""
+        children, descendants = self._children, set()
+        vs = vs if isinstance(vs, (set, frozenset)) else list(vs)
+        if not {self.root}.issuperset(frozenset(vs).difference(self._parent)):
+            self._require(next(v for v in vs if v not in self))
         # Only v's own walk collects v's children, so once its first child
         # is collected the rest of v's subtree is collected or queued.
         inner = list(filter(children.get, vs))
@@ -201,15 +218,17 @@ class Tree:
             if kids[0] not in descendants:
                 descendants.update(kids)
                 inner.extend(filter(children.get, kids))
-        return ancestors, descendants
+        return descendants
 
     def restrict(self, keep: Iterable[str]) -> "Tree":
         """The tree on the nodes in `keep`, rooted at the original root.
 
-        `keep` must hold the root and every ancestor of its members.
+        `keep` must hold the root and every ancestor of its members.  The kept
+        child lists go straight to the build step, their labels checked.
         """
         keep = set(keep)
-        return Tree(self.root, {v: [c for c in self.children_of(v) if c in keep] for v in keep})
+        kept = {v: [c for c in self.children_of(v) if c in keep] for v in keep}
+        return Tree.__new__(Tree)._build(self.root, kept, {c: p for p in kept for c in kept[p]})
 
     def __repr__(self) -> str:
         return f"Tree(root={self.root!r}, nodes={len(self)})"
@@ -249,10 +268,8 @@ def parse_tree(text: str) -> Tree:
     if len(parent) != len(rows):  # a child repeats: the walk names the first fault
         _parent_map(children)
     # The root is a parent that is nobody's child.
-    heads = children.keys() - parent.keys()
-    tree = Tree.__new__(Tree)
-    tree._build(min(heads, default=next(iter(children))), children, parent)
-    return tree
+    heads = list(filterfalse(parent.__contains__, children))
+    return Tree.__new__(Tree)._build(min(heads, default=next(iter(children))), children, parent)
 
 
 def serialize_tree(tree: Tree) -> str:

@@ -56,6 +56,14 @@ class TestValidate:
         assert report.witness == ("b",)
         assert validate(*UNCOVERED_INNER) == CoverReport(False, ("coverage",), ("a",))
 
+    def test_leaf_listed_with_no_children_counts_as_a_leaf(self):
+        # "b" is a key of the mapping with an empty child list; it is still a
+        # leaf, so the cover {a} misses it.
+        tree = Tree("r", {"r": ["a", "b"], "b": []})
+        assert tree.leaves() == ("a", "b") and max_cover_size(tree) == 2
+        assert validate(tree, make_cover([["a"]])) == CoverReport(False, ("coverage",), ("b",))
+        assert validate(tree, make_cover([["a"], ["b"]])).valid
+
     def test_sibling_violation(self):
         report = validate(FORK, make_cover([["b", "c"]]))
         assert "siblings" in report.violations
@@ -285,8 +293,9 @@ def trees_with_covers(draw, max_nodes=30):
 
     The cover mixes part of a valid cover reached by child swaps with
     arbitrary node sets and sibling sets, so a few covers are valid and most
-    are not.  A tree with edges is built either by `Tree` or by `parse_tree`
-    from its edge text.
+    are not.  A tree with edges is built either by `Tree`, whose mapping may
+    list some leaves with empty child lists, or by `parse_tree` from its
+    edge text.
     """
     size = draw(st.integers(min_value=1, max_value=max_nodes))
     labels = [f"v{i}" for i in draw(st.permutations(range(size)))]
@@ -294,7 +303,8 @@ def trees_with_covers(draw, max_nodes=30):
     for i in range(1, size):
         parent = draw(st.integers(min_value=0, max_value=i - 1))
         children.setdefault(labels[parent], []).append(labels[i])
-    tree = Tree(labels[0], children)
+    listed = draw(st.sets(st.sampled_from(labels)))
+    tree = Tree(labels[0], {**{v: [] for v in listed}, **children})
     if children and draw(st.booleans()):
         parsed = parse_tree("".join(f"{p} {c}\n" for p, kids in children.items() for c in kids))
         assert (parsed.root, parsed.edges()) == (tree.root, tree.edges())

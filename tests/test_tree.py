@@ -225,6 +225,17 @@ class TestQueries:
         # The first `leaf_count` call comes after the caller's edits.
         assert {v: t.leaf_count(v) for v in t.nodes} == {"r": 3, "a": 2, "b": 1, "c": 1, "d": 1}
 
+    def test_restrict_without_an_ancestor_raises(self):
+        t = parse_tree("r a\nr b\na c\na d\nc e")
+        assert t.restrict({"r", "a", "c", "e"}).edges() == (("a", "c"), ("c", "e"), ("r", "a"))
+        # "c" is kept without its parent "a": it is a second parentless node.
+        with pytest.raises(MultipleRootsError, match=r"^unreachable parentless nodes: \['c'\]$"):
+            t.restrict({"r", "c", "e"})
+        with pytest.raises(MultipleRootsError, match=r"^unreachable parentless nodes: \['e'\]$"):
+            t.restrict({"r", "b", "e"})
+        with pytest.raises(UnknownNodeError, match="^unknown node 'zz'$"):
+            t.restrict({"r", "zz"})
+
     def test_depth_root_is_zero(self):
         t = parse_tree("r a\nr b")
         assert len(t.ancestors_of("r")) == 0
