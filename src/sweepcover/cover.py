@@ -103,8 +103,9 @@ def validate(tree: Tree, cover: Cover) -> CoverReport:
     Coverage holds iff every leaf is a member or lies below one, and a member
     is nested iff it is a descendant of one.  A cover with m members that
     passes coverage costs O(m + |descendants|), at most O(N) for N nodes, and
-    reads no leaf counts; ancestors are walked only to name an uncovered
-    node.  A member that is not a tree node raises `UnknownNodeError`.
+    reads no leaf counts; `Tree.ancestors` walks the members' ancestors only
+    to name an uncovered node.  A member that is not a tree node raises
+    `UnknownNodeError` naming the first unknown member in canonical order.
     """
     members = frozenset().union(*cover)
     parent = tree.parents()
@@ -143,7 +144,7 @@ def validate(tree: Tree, cover: Cover) -> CoverReport:
     # are the descendants' parents, so the rest of them are leaves.
     covered = len(members) + len(descendants) - len(nested)
     if covered - len(set(map(parent.get, descendants))) < tree.leaf_total():
-        ancestors = tree.relatives(members)[0]
+        ancestors = tree.ancestors(members)
         flag("coverage", (min(tree.nodes.difference(members, ancestors, descendants)),))
 
     # 4: no two cover nodes are in an ancestor-descendant relation.
@@ -188,11 +189,10 @@ def induced_subgraphs(tree: Tree, cover: Cover) -> list[Tree]:
     report = validate(tree, cover)
     if not report.valid:
         raise InvalidCoverError(f"cover violates: {report.violations}")
-    out = []
-    for b in canonical_blocks(cover):
-        ancestors, descendants = tree.relatives(b)
-        out.append(tree.restrict(ancestors | descendants | set(b)))
-    return out
+    return [
+        tree.restrict(tree.ancestors(b) | tree.descendants(b) | set(b))
+        for b in canonical_blocks(cover)
+    ]
 
 
 def embedding_tree(tree: Tree, cover: Cover, selection: Mapping[int, str]) -> Tree:
@@ -213,7 +213,7 @@ def embedding_tree(tree: Tree, cover: Cover, selection: Mapping[int, str]) -> Tr
         if selection[i] not in b:
             raise BadSelectionError(f"{selection[i]!r} is not in block {b}")
         chosen.append(selection[i])
-    return tree.restrict({tree.root, *chosen}.union(*map(tree.ancestors_of, chosen)))
+    return tree.restrict(tree.ancestors(chosen).union(chosen))
 
 
 def max_cover_size(tree: Tree) -> int:

@@ -115,7 +115,7 @@ def _search(tree: Tree, lo: int, hi: int) -> dict[int, set[Cover]]:
     (e_j) or grouped, a fold state stays while its size interval meets the
     window, and a group splits into blocks of two or more (Q) as sizes allow.
     """
-    total_leaves = tree.leaf_count(tree.root)
+    total_leaves = tree.leaf_total()
     # (v, v's branching proper ancestors): grows as it is walked, parents first.
     kept = [(tree.root, 0)] if lo <= total_leaves else []
     for v, forks in kept:

@@ -5,9 +5,11 @@ Node labels are opaque strings; anything that produces deterministic output
 sorts labels lexicographically.
 
 Construction keeps the children and parents and checks that they form one
-tree.  The node set and a leaf table, each node's leaf count, are built on
-first use.  The builds are idempotent, so concurrent first calls only repeat
-work and the tree stays safe to share between threads.
+tree.  A leaf table, each node's leaf count, is built on first use.  The
+build is idempotent, so concurrent first calls only repeat work and the tree
+stays safe to share between threads.  A query on a set of labels that holds
+unknown ones raises `UnknownNodeError` naming the least of them, so the
+message does not depend on the set's iteration order.
 """
 
 from __future__ import annotations
@@ -86,10 +88,10 @@ class Tree:
     appear only as children need no entry.  Construction copies the mapping,
     checks the root label, walks the edges once in order to check the other
     labels and build the parent map, and validates that the edges form a
-    single tree rooted at `root`; `nodes` and `leaf_count` build on first use.
+    single tree rooted at `root`; `leaf_count` builds its table on first use.
     """
 
-    __slots__ = ("root", "_nodes", "_children", "_parent", "_leaves")
+    __slots__ = ("root", "_children", "_parent", "_leaves")
 
     def __init__(self, root: str, children: Mapping[str, Iterable[str]]):
         child_map = {p: list(kids) for p, kids in children.items()}
@@ -118,7 +120,7 @@ class Tree:
         self.root = root
         if not all(child_map.values()):  # a leaf keeps no child list
             child_map = {p: kids for p, kids in child_map.items() if kids}
-        self._nodes = self._leaves = None
+        self._leaves = None
         self._children = child_map
         self._parent = parent
         return self
@@ -127,9 +129,7 @@ class Tree:
 
     @property
     def nodes(self) -> frozenset[str]:
-        if (nodes := self._nodes) is None:
-            nodes = self._nodes = frozenset(chain(self._parent, (self.root,)))
-        return nodes
+        return frozenset(chain(self._parent, (self.root,)))
 
     def __len__(self) -> int:
         return len(self._parent) + 1
@@ -140,6 +140,12 @@ class Tree:
     def _require(self, v: str) -> None:
         if v not in self._parent and v != self.root:
             raise UnknownNodeError(f"unknown node {v!r}")
+
+    def _known(self, vs: frozenset[str]) -> frozenset[str]:
+        """vs itself, if every label in it is a node; else name the least unknown one."""
+        if unknown := vs.difference(self._parent).difference((self.root,)):
+            raise UnknownNodeError(f"unknown node {min(unknown)!r}")
+        return vs
 
     def leaf_total(self) -> int:
         """Number of leaves in the tree, read without the leaf table."""
@@ -186,30 +192,23 @@ class Tree:
 
     def ancestors_of(self, v: str) -> set[str]:
         """Proper ancestors of v, root included."""
-        self._require(v)
-        out = set()
-        while (p := self._parent.get(v)) is not None:
-            out.add(p)
-            v = p
-        return out
+        return self.ancestors((v,))
 
-    def relatives(self, vs: Iterable[str]) -> tuple[set[str], set[str]]:
-        """(proper ancestors, proper descendants) of any member of vs, each collected once."""
-        descendants = self.descendants(vs := list(vs))
+    def ancestors(self, vs: Iterable[str]) -> set[str]:
+        """Proper ancestors of any member of vs, each collected once."""
         parent, ancestors = self._parent, set()
-        for v in vs:
+        # A walk stops at a collected node: everything above it is collected.
+        for v in self._known(frozenset(vs)):
             p = parent.get(v)
             while p is not None and p not in ancestors:
                 ancestors.add(p)
                 p = parent.get(p)
-        return ancestors, descendants
+        return ancestors
 
     def descendants(self, vs: Iterable[str]) -> set[str]:
         """Proper descendants of any member of vs, each collected once."""
         children, descendants = self._children, set()
-        vs = vs if isinstance(vs, (set, frozenset)) else list(vs)
-        if not {self.root}.issuperset(frozenset(vs).difference(self._parent)):
-            self._require(next(v for v in vs if v not in self))
+        vs = self._known(frozenset(vs))
         # Only v's own walk collects v's children, so once its first child
         # is collected the rest of v's subtree is collected or queued.
         inner = list(filter(children.get, vs))
@@ -226,8 +225,8 @@ class Tree:
         `keep` must hold the root and every ancestor of its members.  The kept
         child lists go straight to the build step, their labels checked.
         """
-        keep = set(keep)
-        kept = {v: [c for c in self.children_of(v) if c in keep] for v in keep}
+        keep, children = self._known(frozenset(keep)), self._children
+        kept = {v: [c for c in children.get(v, ()) if c in keep] for v in keep}
         return Tree.__new__(Tree)._build(self.root, kept, {c: p for p in kept for c in kept[p]})
 
     def __repr__(self) -> str:

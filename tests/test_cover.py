@@ -339,7 +339,7 @@ def test_relatives_match_parent_walks(case, data):
     tree, _ = case
     labels = st.sampled_from([*sorted(tree.nodes), "unknown0", "unknown1"])
     vs = data.draw(st.lists(labels, max_size=8))
-    as_iterator = data.draw(st.booleans())
+    form = data.draw(st.sampled_from([list, iter, set]))
 
     def ancestors(v):
         out = set()
@@ -347,14 +347,15 @@ def test_relatives_match_parent_walks(case, data):
             out.add(v)
         return out
 
-    unknown = [v for v in vs if v not in tree]
+    unknown = {v for v in vs if v not in tree}
     if unknown:
-        with pytest.raises(UnknownNodeError, match=f"^unknown node {unknown[0]!r}$"):
-            tree.relatives(iter(vs) if as_iterator else vs)
+        for query in (tree.ancestors, tree.descendants):
+            with pytest.raises(UnknownNodeError, match=f"^unknown node {min(unknown)!r}$"):
+                query(form(vs))
         return
     up = set().union(*map(ancestors, vs))
     down = {u for u in tree.nodes if ancestors(u) & set(vs)}
-    assert tree.relatives(iter(vs) if as_iterator else vs) == (up, down)
+    assert (tree.ancestors(form(vs)), tree.descendants(form(vs))) == (up, down)
 
 
 def test_validate_reads_no_leaf_counts(monkeypatch):
@@ -375,7 +376,8 @@ def test_validate_reads_no_leaf_counts(monkeypatch):
     ]
     for t, cover, violations in cases:
         assert validate(t, cover).violations == violations
-        assert t.relatives(t.nodes) == (t.nodes - set(t.leaves()), t.nodes - {t.root})
+        assert t.ancestors(t.nodes) == t.nodes - set(t.leaves())
+        assert t.descendants(t.nodes) == t.nodes - {t.root}
         assert len(t) == len(t.nodes) and t.root in t and "not-a-node" not in t
         for v in t.nodes:
             t.children_of(v), t.parent_of(v), t.ancestors_of(v)

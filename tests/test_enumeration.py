@@ -220,19 +220,26 @@ class TestFindSweepCovers:
 
     def test_deep_caterpillar_has_only_the_all_leaves_cover(self, monkeypatch):
         calls = []  # one entry per Tree.children_of call
-        children_of = Tree.children_of
+        leaf_counts = []  # one entry per Tree.leaf_count call
+        children_of, leaf_count = Tree.children_of, Tree.leaf_count
 
         def counted(tree, v):
             calls.append(v)
             return children_of(tree, v)
 
+        def counted_leaves(tree, v):
+            leaf_counts.append(v)
+            return leaf_count(tree, v)
+
         def above_leaf_count(t, n):
-            # A size above the leaf count has no cover and walks no node.
+            # A size above the leaf count has no cover, walks no node and reads no leaf count.
             calls.clear()
+            leaf_counts.clear()
             assert find_sweep_covers(t, n) == set()
-            assert calls == []
+            assert calls == [] and leaf_counts == []
 
         monkeypatch.setattr(Tree, "children_of", counted)
+        monkeypatch.setattr(Tree, "leaf_count", counted_leaves)
         above_leaf_count(Tree("r", {"r": [f"c{i}" for i in range(1200)]}), 1201)
         for length in (40, 3000):
             # Spine s0..s{length-1}, each inner spine node with one leaf; the last is a leaf.

@@ -1,8 +1,11 @@
+import os
+import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sweepcover
 from sweepcover.counting import InvalidParamsError
 from sweepcover.tree import (
     CycleError,
@@ -247,21 +250,21 @@ class TestQueries:
 
     def test_relatives_star(self):
         t = parse_tree("r a\nr b")
-        assert t.relatives({"a"}) == ({"r"}, set())
-        assert t.relatives({"a", "b"}) == ({"r"}, set())
+        assert (t.ancestors({"a"}), t.descendants({"a"})) == ({"r"}, set())
+        assert (t.ancestors({"a", "b"}), t.descendants({"a", "b"})) == ({"r"}, set())
 
     def test_relatives_chain(self):
         t = chain("a", "b", "c")
-        assert t.relatives({"b"}) == ({"a"}, {"c"})
+        assert (t.ancestors({"b"}), t.descendants({"b"})) == ({"a"}, {"c"})
 
     def test_relatives_fork(self):
         t = parse_tree("r a\nr b\na c\na d")
-        assert t.relatives({"c", "d", "b"}) == ({"r", "a"}, set())
-        assert t.relatives({"a", "c"}) == ({"r", "a"}, {"c", "d"})
+        assert (t.ancestors({"c", "d", "b"}), t.descendants({"c", "d", "b"})) == ({"r", "a"}, set())
+        assert (t.ancestors({"a", "c"}), t.descendants({"a", "c"})) == ({"r", "a"}, {"c", "d"})
 
     def test_subtree(self):
         t = parse_tree("r a\nr b\na c\na d")
-        assert t.relatives({"a"})[1] == {"c", "d"}
+        assert t.descendants({"a"}) == {"c", "d"}
         assert [t.leaf_count(v) for v in ("r", "a", "b", "c")] == [3, 2, 1, 1]
 
     def test_leaf_count_unknown_label(self):
@@ -367,12 +370,39 @@ def test_random_attachment_tree_invariants(parent_picks):
         assert all(t.parent_of(c) == v for c in t.children_of(v))
         p = t.parent_of(v)
         assert t.ancestors_of(v) == (set() if p is None else {p} | t.ancestors_of(p))
-        below = t.relatives([v])[1]
+        below = t.descendants([v])
         assert below == {u for u in t.nodes if v in t.ancestors_of(u)}
         assert t.leaf_count(v) == sum(1 for u in [v, *below] if not t.children_of(u))
     assert t.leaf_count(t.root) == len(t.leaves())
     again = parse_tree(serialize_tree(t))
     assert again.nodes == t.nodes and set(again.edges()) == set(t.edges())
+
+
+# Each set query names the least unknown label, whatever order the set iterates in.
+HASH_SEED_SNIPPET = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+from sweepcover.tree import UnknownNodeError, parse_tree
+t = parse_tree("r a\\nr b")
+for query in (t.restrict, t.ancestors, t.descendants):
+    try:
+        query({"zz", "yy", "xx"})
+    except UnknownNodeError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+def test_unknown_labels_give_the_same_error_under_any_hash_seed(seed):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sweepcover.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", HASH_SEED_SNIPPET, src],
+        env={**os.environ, "PYTHONHASHSEED": seed},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "unknown node 'xx'\n" * 3
 
 
 def first_fault(root, children):
