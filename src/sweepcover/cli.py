@@ -23,6 +23,7 @@ import itertools
 import json
 import sys
 from collections.abc import Iterable, Sequence
+from json.encoder import encode_basestring_ascii as _json_str  # the C encoder json.dumps uses
 from types import SimpleNamespace
 
 from .counting import (
@@ -86,17 +87,14 @@ def _enumerate_json(n: int, blocks: list[tuple[str, ...]], ranked: list[list[int
     """`json.dumps({"n": ..., "count": ..., "covers": ...}, indent=2) + "\\n"`, byte for byte.
 
     The indenting encoder is pure Python and encodes every label of every
-    cover; here each block is laid out once, by rank, and a cover is one
-    join of those texts.
+    cover; here each block is laid out once, by rank, a cover is one join
+    of those texts, and the covers are joined once.
     """
     laid_out = [
-        "      [\n" + ",\n".join("        " + json.dumps(v) for v in b) + "\n      ]"
-        for b in blocks
+        "      [\n        " + ",\n        ".join(map(_json_str, b)) + "\n      ]" for b in blocks
     ]
-    covers = ",\n".join(
-        "    [\n" + ",\n".join(map(laid_out.__getitem__, ranks)) + "\n    ]" for ranks in ranked
-    )
-    body = "[\n" + covers + "\n  ]" if ranked else "[]"
+    covers = map(",\n".join, map(map, itertools.repeat(laid_out.__getitem__), ranked))
+    body = "[\n    [\n" + "\n    ],\n    [\n".join(covers) + "\n    ]\n  ]" if ranked else "[]"
     return f'{{\n  "n": {n},\n  "count": {len(ranked)},\n  "covers": {body}\n}}\n'
 
 
@@ -105,11 +103,15 @@ def _cmd_enumerate(args: SimpleNamespace) -> str:
     blocks, ranked = canonical_rows(find_sweep_covers(tree, args.n))
     if args.format == "json":
         return _enumerate_json(args.n, blocks, ranked)
-    texts = list(map(json.dumps, blocks))
-    lines = ["[" + ", ".join(map(texts.__getitem__, ranks)) + "]" for ranks in ranked]
+    texts = ["[" + ", ".join(map(_json_str, b)) + "]" for b in blocks]  # json.dumps(b)
+    head, tail = "[", "]\n"
     if args.format == "csv":
-        return _csv(["size", "cover"], zip(itertools.repeat(args.n), lines))
-    return "\n".join([*lines, ""])
+        # Every line holds a '"', so the csv module would quote it and double each '"'.
+        texts = [t.replace('"', '""') for t in texts]
+        head, tail = f'{args.n},"[', ']"\r\n'
+    lines = map(", ".join, map(map, itertools.repeat(texts.__getitem__), ranked))
+    body = head + (tail + head).join(lines) + tail if ranked else ""
+    return "size,cover\r\n" + body if args.format == "csv" else body
 
 
 def _cmd_validate(args: SimpleNamespace) -> str:

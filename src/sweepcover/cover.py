@@ -65,7 +65,8 @@ def canonical_rows(covers: Iterable[Cover]) -> tuple[list[tuple[str, ...]], list
     covers = list(covers)
     distinct = sorted(frozenset().union(*covers), key=sorted)
     rank = {b: i for i, b in enumerate(distinct)}
-    ranked = sorted([sorted(map(rank.__getitem__, c)) for c in covers])
+    # One C-level chain: no Python frame runs per cover.
+    ranked = sorted(map(sorted, map(map, itertools.repeat(rank.__getitem__), covers)))
     return [tuple(sorted(b)) for b in distinct], ranked
 
 

@@ -60,11 +60,14 @@ def nonsingleton_partitions(
     elements: Iterable[str], m: int
 ) -> Iterator[tuple[frozenset[str], ...]]:
     """Partitions of `elements` into exactly m blocks, each of size >= 2 (the
-    empty partition alone when both are empty), grown on an explicit stack."""
+    empty partition alone when both are empty), grown on an explicit stack.
+    A split into one block has one answer, the whole group, and no stack."""
     items = list(elements)
     if m == 0 and not items:
         yield ()
-    stack = [_open_block((), items, m - 1)] if 1 <= m <= len(items) // 2 else []
+    elif m == 1 and len(items) >= 2:
+        yield (frozenset(items),)
+    stack = [_open_block((), items, m - 1)] if 2 <= m <= len(items) // 2 else []
     while stack:
         step = next(stack[-1], None)
         if step is None:
@@ -81,7 +84,7 @@ def _open_block(blocks: tuple, rest: list[str], after: int) -> Iterator[tuple[tu
     for size in range(1, len(rest) - 2 * after) if after else [len(rest) - 1]:
         for mates in itertools.combinations(rest[1:], size):
             block = frozenset((rest[0], *mates))
-            yield (*blocks, block), [x for x in rest if x not in block]
+            yield (*blocks, block), list(itertools.filterfalse(block.__contains__, rest))
 
 
 # -- decomposition cover search ----------------------------------------
@@ -157,10 +160,11 @@ def _search(tree: Tree, lo: int, hi: int) -> dict[int, set[Cover]]:
                 # A group splits into at least one block; the fold left no group
                 # of one, so every r taken yields a cover.
                 for r in range(max(bottom - s, bool(grouped)), min(top - s, len(grouped) // 2) + 1):
+                    out = here.setdefault(s + r, set())
                     for part in nonsingleton_partitions(grouped, r):
-                        blocks, out = frozenset(part), here.setdefault(s + r, set())
-                        for pools in picks:
-                            out.update(blocks.union(*combo) for combo in itertools.product(*pools))
+                        blocks = frozenset(part)
+                        for pools in picks:  # one C-level union per cover
+                            out.update(itertools.starmap(blocks.union, itertools.product(*pools)))
         covers[v] = here
     found = covers.get(tree.root, {})
     return {s: found.get(s, set()) for s in range(lo, hi + 1)}

@@ -127,8 +127,11 @@ class TestEnumerate:
 
 
 # Label pairs whose JSON texts sort the other way round from the labels
-# ("a" < "a!" but '"a"' > '"a!"'), or that JSON escapes.
-TRICKY_LABELS = ["a", "a!", 'a"', '"', "$", "\\", "\x01", "\x7f", "é", "é!", "z", "A"]
+# ("a" < "a!" but '"a"' > '"a!"'), or that JSON escapes ("\U0001f600" as a
+# surrogate pair, "\x00" as "\\u0000").
+TRICKY_LABELS = [
+    "a", "a!", 'a"', '"', "$", "\\", "\x01", "\x7f", "é", "é!", "z", "A", "\U0001f600", "\x00",
+]
 
 
 @st.composite

@@ -128,6 +128,14 @@ class TestNonsingletonPartitions:
     def test_pair_single_block(self):
         assert list(nonsingleton_partitions(["a", "b"], 1)) == [(frozenset({"a", "b"}),)]
 
+    def test_one_block_is_the_whole_group(self):
+        # A split into one block is yielded at once, with no stack of open blocks.
+        for n in range(7):
+            items = [f"x{i}" for i in range(n)]
+            got = list(nonsingleton_partitions(items, 1))
+            assert got == ([(frozenset(items),)] if n >= 2 else []), n
+            assert len(got) == count_nonsingleton(n, 1), n
+
     def test_counts_match_formula(self):
         for n in range(11):
             items = [str(i) for i in range(n)]
