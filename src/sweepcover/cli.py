@@ -87,14 +87,16 @@ def _enumerate_json(n: int, blocks: list[tuple[str, ...]], ranked: list[list[int
     """`json.dumps({"n": ..., "count": ..., "covers": ...}, indent=2) + "\\n"`, byte for byte.
 
     The indenting encoder is pure Python and encodes every label of every
-    cover; here each block is laid out once, by rank, a cover is one join
-    of those texts, and the covers are joined once.
+    cover; here each block is laid out once, by rank, and a cover is one
+    join of those texts.
     """
     laid_out = [
         "      [\n        " + ",\n        ".join(map(_json_str, b)) + "\n      ]" for b in blocks
     ]
-    covers = map(",\n".join, map(map, itertools.repeat(laid_out.__getitem__), ranked))
-    body = "[\n    [\n" + "\n    ],\n    [\n".join(covers) + "\n    ]\n  ]" if ranked else "[]"
+    covers = ",\n".join(
+        "    [\n" + ",\n".join(map(laid_out.__getitem__, ranks)) + "\n    ]" for ranks in ranked
+    )
+    body = "[\n" + covers + "\n  ]" if ranked else "[]"
     return f'{{\n  "n": {n},\n  "count": {len(ranked)},\n  "covers": {body}\n}}\n'
 
 
@@ -104,14 +106,10 @@ def _cmd_enumerate(args: SimpleNamespace) -> str:
     if args.format == "json":
         return _enumerate_json(args.n, blocks, ranked)
     texts = ["[" + ", ".join(map(_json_str, b)) + "]" for b in blocks]  # json.dumps(b)
-    head, tail = "[", "]\n"
+    covers = map(", ".join, map(map, itertools.repeat(texts.__getitem__), ranked))
     if args.format == "csv":
-        # Every line holds a '"', so the csv module would quote it and double each '"'.
-        texts = [t.replace('"', '""') for t in texts]
-        head, tail = f'{args.n},"[', ']"\r\n'
-    lines = map(", ".join, map(map, itertools.repeat(texts.__getitem__), ranked))
-    body = head + (tail + head).join(lines) + tail if ranked else ""
-    return "size,cover\r\n" + body if args.format == "csv" else body
+        return _csv(["size", "cover"], zip(itertools.repeat(args.n), map("[{}]".format, covers)))
+    return "[" + "]\n[".join(covers) + "]\n" if ranked else ""
 
 
 def _cmd_validate(args: SimpleNamespace) -> str:

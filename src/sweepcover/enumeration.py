@@ -60,14 +60,11 @@ def nonsingleton_partitions(
     elements: Iterable[str], m: int
 ) -> Iterator[tuple[frozenset[str], ...]]:
     """Partitions of `elements` into exactly m blocks, each of size >= 2 (the
-    empty partition alone when both are empty), grown on an explicit stack.
-    A split into one block has one answer, the whole group, and no stack."""
+    empty partition alone when both are empty), grown on an explicit stack."""
     items = list(elements)
     if m == 0 and not items:
         yield ()
-    elif m == 1 and len(items) >= 2:
-        yield (frozenset(items),)
-    stack = [_open_block((), items, m - 1)] if 2 <= m <= len(items) // 2 else []
+    stack = [_open_block((), items, m - 1)] if 1 <= m <= len(items) // 2 else []
     while stack:
         step = next(stack[-1], None)
         if step is None:

@@ -126,10 +126,7 @@ class TestNonsingletonPartitions:
         assert list(nonsingleton_partitions(list("abc"), 2)) == []
 
     def test_pair_single_block(self):
-        assert list(nonsingleton_partitions(["a", "b"], 1)) == [(frozenset({"a", "b"}),)]
-
-    def test_one_block_is_the_whole_group(self):
-        # A split into one block is yielded at once, with no stack of open blocks.
+        # One block is the whole group, from a pair up; below that there is none.
         for n in range(7):
             items = [f"x{i}" for i in range(n)]
             got = list(nonsingleton_partitions(items, 1))
