@@ -189,10 +189,12 @@ def _cmd_discrepancy(args: SimpleNamespace) -> str:
     """The recurrence beside the search on a finite truncation, row by row.
 
     The recurrence counts gamma in path nodes and `IldSpec.gamma` in path
-    edges, so the tree with gamma-edge paths is counted by gamma + 1; its
-    n_max + 1 star levels hold every cover of size n_max or less.
+    edges, so the tree with gamma-edge paths is counted by gamma + 1.  A cover
+    that reaches below a child of the k-th star also needs a block for another
+    child of each star on the way, so it has k + 1 blocks or more, and n_max
+    star levels hold every cover of size n_max or less.
     """
-    spec = IldSpec(args.delta, args.gamma, max(args.n_max, 0) + 1)
+    spec = IldSpec(args.delta, args.gamma, max(args.n_max, 1))
     # Counts grow with delta and gamma, and at delta 2, gamma 0 sizes 1..16
     # alone sum to 737,154,146,214, so one short solve refuses a larger n_max.
     counts = series_coefficients(args.delta, args.gamma + 1, min(args.n_max, 16))

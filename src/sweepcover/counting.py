@@ -132,7 +132,6 @@ def raney_bound_report(
     n_lo, n_hi = n_range
     if n_lo < 1 or n_hi < n_lo:
         raise InvalidParamsError(f"bad n range {n_range}")
-    _check_params(delta, gamma)
     rows = []
     for n, p in enumerate(series_coefficients(delta, gamma, n_hi)[n_lo - 1 :], n_lo):
         c = raney(delta, 1, n + 1)

@@ -106,21 +106,14 @@ def validate(tree: Tree, cover: Cover) -> CoverReport:
     passes coverage costs O(m + |descendants|), at most O(N) for N nodes, and
     reads no leaf counts; `Tree.ancestors` walks the members' ancestors only
     to name an uncovered node.  A member that is not a tree node raises
-    `UnknownNodeError` naming the first unknown member in canonical order.
+    `UnknownNodeError` naming the least unknown member, as every `Tree` set
+    query does.
     """
     members = frozenset().union(*cover)
+    descendants = tree.descendants(members)
     parent = tree.parents()
-    if len(parent.keys() & members) + (tree.root in members) < len(members):
-        # The first unknown member in canonical order raises.
-        tree.parent_of(next(v for b in canonical_blocks(cover) for v in b if v not in tree))
-    violations: list[str] = []
-    witness: tuple[str, ...] | None = None
-
-    def flag(cond: str, wit: tuple[str, ...]) -> None:
-        nonlocal witness
-        violations.append(cond)
-        if witness is None:
-            witness = wit
+    # (condition, witness) for each failing condition, in checking order
+    found: list[tuple[str, tuple[str, ...]]] = []
 
     # 1: distinct blocks are pairwise disjoint, so their sizes add up to
     # the number of members.  A block can meet others only at a repeated member.
@@ -129,16 +122,15 @@ def validate(tree: Tree, cover: Cover) -> CoverReport:
         seen: set[str] = set()
         for b in canonical_blocks(c for c in cover if max(map(counts.__getitem__, c)) > 1):
             if not seen.isdisjoint(b):
-                flag("disjoint", (min(seen.intersection(b)),))
+                found.append(("disjoint", (min(seen.intersection(b)),)))
                 break
             seen.update(b)
 
     # 2: each block contains only siblings.
     mixed = [b for b in cover if len(b) > 1 and len(set(map(parent.get, b))) > 1]
     if mixed:
-        flag("siblings", min(tuple(sorted(b)) for b in mixed))
+        found.append(("siblings", min(tuple(sorted(b)) for b in mixed)))
 
-    descendants = tree.descendants(members)
     nested = members & descendants
 
     # 3: every leaf is a member or below one.  The covered nodes with children
@@ -146,14 +138,15 @@ def validate(tree: Tree, cover: Cover) -> CoverReport:
     covered = len(members) + len(descendants) - len(nested)
     if covered - len(set(map(parent.get, descendants))) < tree.leaf_total():
         ancestors = tree.ancestors(members)
-        flag("coverage", (min(tree.nodes.difference(members, ancestors, descendants)),))
+        found.append(("coverage", (min(tree.nodes.difference(members, ancestors, descendants)),)))
 
     # 4: no two cover nodes are in an ancestor-descendant relation.
     if nested:
         v = min(nested)
-        flag("no-ancestry", (min(tree.ancestors_of(v) & members), v))
+        found.append(("no-ancestry", (min(tree.ancestors_of(v) & members), v)))
 
-    return CoverReport(valid=not violations, violations=tuple(violations), witness=witness)
+    violations = tuple(cond for cond, _ in found)
+    return CoverReport(not found, violations, found[0][1] if found else None)
 
 
 def swap_children(

@@ -437,6 +437,17 @@ class TestReports:
         assert rows[0] == ["n", "p", "raney", "inequality_holds"]
         assert rows[1] == ["1", "1", "2", "False"]
 
+    def test_bound_report_json_matches_csv(self, capsys):
+        args = ["bound-report", "--delta", "3", "--gamma", "1", "--n-max", "6"]
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        code, text, _ = run(capsys, *args, "--format", "json")
+        assert code == 0
+        rows = [[str(r["n"]), r["p"], r["raney"], str(r["inequality_holds"])]
+                for r in json.loads(text)]
+        assert rows == list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 6
+
     def test_growth_report(self, capsys):
         code, out, _ = run(capsys, "growth-report", "--delta", "2", "--n-max", "5")
         assert code == 0
@@ -507,6 +518,19 @@ class TestDiscrepancy:
         # IldSpec.gamma counts path edges, the recurrence counts path nodes.
         assert [int(r[1]) for r in rows[1:]] == series_coefficients(delta, gamma + 1, n_max)
         assert all(r[1] == r[2] for r in rows[1:])
+
+    @pytest.mark.parametrize(
+        "delta,gamma,n_max", [(2, 0, 6), (3, 0, 5), (2, 1, 5), (3, 1, 4), (4, 0, 4), (2, 2, 4)]
+    )
+    def test_n_max_star_levels_suffice_and_one_fewer_does_not(self, delta, gamma, n_max):
+        want = series_coefficients(delta, gamma + 1, n_max)
+
+        def counts(levels):
+            tree = build_ild_truncated(IldSpec(delta, gamma, levels))
+            return [len(find_sweep_covers(tree, n)) for n in range(1, n_max + 1)]
+
+        assert counts(n_max) == want
+        assert counts(n_max - 1) != want
 
     def test_mismatch_exits_1_and_prints_table(self, capsys, monkeypatch):
         real = cli.series_coefficients

@@ -159,6 +159,18 @@ def test_raney_bound_report_is_self_consistent():
     assert rows3[0].inequality_holds is False
 
 
+@pytest.mark.parametrize("n_range", [(0, 3), (3, 2)])
+def test_raney_bound_report_rejects_a_bad_n_range(n_range):
+    with pytest.raises(InvalidParamsError, match=r"^bad n range \(\d, \d\)$"):
+        raney_bound_report(2, 0, n_range)
+
+
+@pytest.mark.parametrize("n_max", [1, 0])
+def test_growth_report_needs_two_rows(n_max):
+    with pytest.raises(InvalidParamsError, match=f"^n_max must be >= 2, got {n_max}$"):
+        growth_report(2, 0, n_max)
+
+
 def test_growth_report():
     rows = growth_report(2, 0, 5)
     assert [r.p_value for r in rows] == [1, 1, 2, 5, 14]

@@ -77,9 +77,9 @@ class TestValidate:
         tree = Tree("a", {})
         assert validate(tree, make_cover([["a"]])).valid
 
-    def test_first_unknown_member_in_canonical_order_raises(self):
-        # Blocks in canonical order: ("a", "z"), ("b", "y").
-        with pytest.raises(UnknownNodeError, match="^unknown node 'z'$"):
+    def test_least_unknown_member_raises(self):
+        # "z" comes first in canonical block order, but "y" is the least label.
+        with pytest.raises(UnknownNodeError, match="^unknown node 'y'$"):
             validate(FORK, make_cover([["b", "y"], ["a", "z"]]))
 
     def test_all_violations_reported(self):
@@ -115,6 +115,8 @@ class TestSwapChildren:
             swap_children(STAR, make_cover([["r"]]), "r", [["a"]])
         with pytest.raises(NotAPartitionOfChildrenError):
             swap_children(STAR, make_cover([["r"]]), "r", [["a", "b"], ["a"]])
+        with pytest.raises(NotAPartitionOfChildrenError, match="must be non-empty"):
+            swap_children(STAR, make_cover([["r"]]), "r", [["a", "b"], []])
 
 
 class TestInducedSubgraphs:
@@ -184,6 +186,10 @@ class TestEmbeddingTree:
         with pytest.raises(BadSelectionError):
             embedding_tree(FORK, make_cover([["r"]]), {1: "r"})
 
+    def test_rejects_invalid_cover(self):
+        with pytest.raises(InvalidCoverError, match="no-ancestry"):
+            embedding_tree(STAR, make_cover([["r"], ["a"]]), {0: "a", 1: "r"})
+
     def test_swapped_nonsingleton_blocks_share_embedding(self):
         # Two different covers built by trading one node between two
         # non-singleton sibling blocks give isomorphic embeddings.
@@ -218,6 +224,11 @@ def test_cover_json_rejects_a_repeated_block():
             cover_from_json(text)
     assert cover_from_json('[["a", "a", "b"]]') == make_cover([["a", "b"]])
     assert make_cover([["a"], ["a"], ["b"]]) == make_cover([["a"], ["b"]])
+
+
+def test_cover_json_rejects_an_empty_block():
+    with pytest.raises(CoverError, match="^cover blocks must be non-empty$"):
+        cover_from_json('[["a"], []]')
 
 
 def random_valid_cover(rng, tree):
