@@ -165,9 +165,8 @@ def swap_children(
     parts = [frozenset(p) for p in child_partition]
     if any(not p for p in parts):
         raise NotAPartitionOfChildrenError("partition blocks must be non-empty")
-    total = sum(len(p) for p in parts)
-    union = frozenset().union(*parts) if parts else frozenset()
-    if union != frozenset(kids) or total != len(kids):
+    # The children are distinct, so the blocks partition them iff both sort alike.
+    if sorted(itertools.chain.from_iterable(parts)) != sorted(kids):
         raise NotAPartitionOfChildrenError(
             f"blocks do not partition the children of {v}: {sorted(kids)}"
         )

@@ -4,8 +4,9 @@ Trees are immutable after construction and safe to share between threads.
 Node labels are opaque strings; anything that produces deterministic output
 sorts labels lexicographically.
 
-Construction keeps the children and parents and checks that they form one
-tree.  A leaf table, each node's leaf count, is built on first use.  The
+Construction keeps the children and parents, checks that they form one
+tree, and keeps the breadth-first order of that check's walk.  A leaf table,
+each node's leaf count, is filled over that order on first use.  The
 build is idempotent, so concurrent first calls only repeat work and the tree
 stays safe to share between threads.  A query on a set of labels that holds
 unknown ones raises `UnknownNodeError` naming the least of them, so the
@@ -88,10 +89,11 @@ class Tree:
     appear only as children need no entry.  Construction copies the mapping,
     checks the root label, walks the edges once in order to check the other
     labels and build the parent map, and validates that the edges form a
-    single tree rooted at `root`; `leaf_count` builds its table on first use.
+    single tree rooted at `root`, keeping that walk's breadth-first order;
+    `leaf_count` builds its table over that order on first use.
     """
 
-    __slots__ = ("root", "_children", "_parent", "_leaves")
+    __slots__ = ("root", "_children", "_parent", "_order", "_leaves")
 
     def __init__(self, root: str, children: Mapping[str, Iterable[str]]):
         child_map = {p: list(kids) for p, kids in children.items()}
@@ -102,7 +104,8 @@ class Tree:
         """Keep the edges, and return self, if they form one tree rooted at `root`.
 
         `parent` maps each child to its one parent, labels and edges checked.
-        Every node must be reached, and only the root may lack a parent.
+        Every node must be reached, and only the root may lack a parent.  The
+        walk's order, root first and breadth-first, is kept as `_order`.
         """
         if root in parent:
             raise CycleError(f"root {root} has a parent")
@@ -123,6 +126,7 @@ class Tree:
         self._leaves = None
         self._children = child_map
         self._parent = parent
+        self._order = reached
         return self
 
     # -- basic queries -------------------------------------------------
@@ -138,7 +142,7 @@ class Tree:
         return label in self._parent or label == self.root
 
     def _require(self, v: str) -> None:
-        if v not in self._parent and v != self.root:
+        if v not in self:
             raise UnknownNodeError(f"unknown node {v!r}")
 
     def _known(self, vs: frozenset[str]) -> frozenset[str]:
@@ -155,13 +159,9 @@ class Tree:
         """Number of leaves in v's subtree (1 when v is a leaf)."""
         self._require(v)
         if (leaves := self._leaves) is None:
-            # Walk breadth-first from the root, then fill the table children first.
-            children = self._children
-            order = [self.root]
-            for u in order:
-                order.extend(children.get(u, ()))
-            leaves = {}
-            for u in reversed(order):
+            # The build's walk reversed puts every child before its parent.
+            children, leaves = self._children, {}
+            for u in reversed(self._order):
                 kids = children.get(u)
                 leaves[u] = sum(map(leaves.__getitem__, kids)) if kids else 1
             self._leaves = leaves
@@ -313,21 +313,17 @@ def build_ild_truncated(spec: IldSpec) -> Tree:
     "<head>p<i>", star children as "<star>.<j>".
     """
     children: dict[str, list[str]] = {}
-
-    def grow(head: str, levels_left: int) -> None:
-        if levels_left == 0:
-            return
-        star = head
+    heads = ["s"]  # the path heads of one star generation
+    for _ in range(spec.star_levels):
+        ends = heads  # the far end of each head's path so far
         for step in range(1, spec.gamma + 1):
-            nxt = f"{head}p{step}"
-            children.setdefault(star, []).append(nxt)
-            star = nxt
-        for j in range(1, spec.delta + 1):
-            child = f"{star}.{j}"
-            children.setdefault(star, []).append(child)
-            grow(child, levels_left - 1)
-
-    grow("s", spec.star_levels)
+            steps = [f"{head}p{step}" for head in heads]
+            children.update(zip(ends, ([v] for v in steps)))
+            ends = steps
+        heads = []
+        for star in ends:
+            children[star] = [f"{star}.{j}" for j in range(1, spec.delta + 1)]
+            heads += children[star]
     return Tree("s", children)
 
 
@@ -339,13 +335,9 @@ def canonical_code(tree: Tree) -> str:
 
     Two trees get equal codes iff they are isomorphic as rooted unlabeled
     trees (child codes are sorted, so the code ignores labels and child
-    order).
+    order).  Child codes fold over the build's walk reversed, children first.
     """
-
-    order = [tree.root]
-    for v in order:
-        order.extend(tree.children_of(v))
-    code: dict[str, str] = {}
-    for v in reversed(order):
-        code[v] = "(" + "".join(sorted(code.pop(c) for c in tree.children_of(v))) + ")"
+    children, code = tree._children, {}
+    for v in reversed(tree._order):
+        code[v] = "(" + "".join(sorted(code.pop(c) for c in children.get(v, ()))) + ")"
     return code[tree.root]

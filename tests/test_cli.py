@@ -4,6 +4,7 @@ import csv
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -782,6 +783,78 @@ def test_plain_path_agrees_with_argparse(argv):
         assert vars(plain) == parsed
     if parsed is None:
         assert plain is None
+
+
+# -- every command line exits with a documented code --------------------
+
+# Files each example writes under a fresh directory; "{missing}" names none.
+ARGV_FILES = {
+    "{tree}": "r a\nr b\na c\na d\n",
+    "{cycle}": "r a\na b\nb a\n",
+    "{empty}": "",
+    "{cover}": '[["r"], ["c"]]',
+    "{partial}": '[["c"]]',
+    "{bad-cover}": '[["r"], ["zz"]]',
+}
+# Each option's (good, odd) values.  Integers stay small enough that every
+# command ends at once: `enumerate` reads only the small files, and
+# `oracle-check` and `discrepancy` run at 4 or less.
+SMALL_INTS = (["1", "2", "3", "4"], ["-2", "-1", "0", "x", "2.5", "", "3..", " 2", "1e1"])
+ARGV_VALUES = {
+    "--tree": (["{tree}"], ["{cycle}", "{empty}", "{cover}", "{missing}"]),
+    "--cover": (["{cover}", "{partial}"], ["{bad-cover}", "{tree}", "{missing}"]),
+    "--out": (["{out}"], ["{missing}/out.txt"]),
+    "--format": (["text", "json", "csv"], ["xml"]),
+    "--delta-range": (["2..4", "3"], ["3..", "..3", "4..2", "-1..2", "2..x", "x"]),
+}
+
+
+@st.composite
+def odd_argvs(draw):
+    """An argv for one command whose options may be missing, repeated,
+    abbreviated, joined to their values with "=", left without a value, or
+    given an odd value."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    _, _, *options = cli.COMMANDS[name]
+    given = []
+    for flag, _, _, _ in options:
+        good, odd = ARGV_VALUES.get(flag, SMALL_INTS)
+        for _ in range(draw(st.sampled_from([1] * 6 + [0, 2]))):
+            value = draw(st.sampled_from(odd if draw(st.integers(0, 4)) == 0 else good))
+            spelling = draw(st.sampled_from(["plain"] * 5 + ["abbreviated", "joined", "bare"]))
+            if spelling == "abbreviated" and len(flag) > 3:
+                given.append([flag[: draw(st.integers(3, len(flag) - 1))], value])
+            elif spelling == "joined":
+                given.append([f"{flag}={value}"])
+            else:
+                given.append([flag] if spelling == "bare" else [flag, value])
+    return [name, *itertools.chain.from_iterable(draw(st.permutations(given)))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(odd_argvs())
+def test_every_argv_exits_with_a_documented_code(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {key: os.path.join(tmp, key.strip("{}")) for key in ARGV_FILES}
+        for key, text in ARGV_FILES.items():
+            with open(paths[key], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        paths["{missing}"] = os.path.join(tmp, "missing")
+        paths["{out}"] = os.path.join(tmp, "out.txt")
+        for key, path in paths.items():
+            argv = [arg.replace(key, path) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: a usage error
+                code = exc.code
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if code in (2, 3):
+        assert err.getvalue().startswith(("error: ", "usage: ")), (argv, err.getvalue())
+    else:
+        assert err.getvalue() == "", (argv, err.getvalue())
 
 
 IMPORT_SNIPPET = """\

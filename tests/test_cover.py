@@ -115,6 +115,10 @@ class TestSwapChildren:
             swap_children(STAR, make_cover([["r"]]), "r", [["a"]])
         with pytest.raises(NotAPartitionOfChildrenError):
             swap_children(STAR, make_cover([["r"]]), "r", [["a", "b"], ["a"]])
+        with pytest.raises(NotAPartitionOfChildrenError):
+            swap_children(STAR, make_cover([["r"]]), "r", [["a", "b"], ["x"]])
+        with pytest.raises(NotAPartitionOfChildrenError):
+            swap_children(STAR, make_cover([["r"]]), "r", [["a", "b"], ["a", "b"]])
         with pytest.raises(NotAPartitionOfChildrenError, match="must be non-empty"):
             swap_children(STAR, make_cover([["r"]]), "r", [["a", "b"], []])
 

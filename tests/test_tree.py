@@ -359,8 +359,29 @@ def test_parse_tree_returns_tree_or_raises_tree_error(text):
     assert (again.root, set(again.edges())) == (tree.root, set(tree.edges()))
 
 
-@given(st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=15))
-def test_random_attachment_tree_invariants(parent_picks):
+def shape(t, v):
+    """canonical_code's fold, written as the recursion it replaces."""
+    return "(" + "".join(sorted(shape(t, c) for c in t.children_of(v))) + ")"
+
+
+def check_walk_tables(t):
+    """The build kept its breadth-first walk, and both tables read over it agree with the edges."""
+    order = [t.root]
+    for v in order:
+        order.extend(t.children_of(v))
+    assert t._order == order
+    for v in t.nodes:
+        below = t.descendants([v])
+        assert t.leaf_count(v) == sum(1 for u in [v, *below] if not t.children_of(u))
+    assert t.leaf_count(t.root) == len(t.leaves())
+    assert canonical_code(t) == shape(t, t.root)
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=15),
+    st.integers(min_value=1, max_value=16),
+)
+def test_random_attachment_tree_invariants(parent_picks, kept):
     children = {}
     labels = [f"n{i}" for i in range(len(parent_picks) + 1)]
     for i, pick in enumerate(parent_picks, start=1):
@@ -372,10 +393,15 @@ def test_random_attachment_tree_invariants(parent_picks):
         assert t.ancestors_of(v) == (set() if p is None else {p} | t.ancestors_of(p))
         below = t.descendants([v])
         assert below == {u for u in t.nodes if v in t.ancestors_of(u)}
-        assert t.leaf_count(v) == sum(1 for u in [v, *below] if not t.children_of(u))
-    assert t.leaf_count(t.root) == len(t.leaves())
+    check_walk_tables(t)
     again = parse_tree(serialize_tree(t))
     assert again.nodes == t.nodes and set(again.edges()) == set(t.edges())
+    check_walk_tables(again)
+    assert canonical_code(again) == canonical_code(t)
+    # Each label's parent comes earlier in `labels`, so every prefix holds its ancestors.
+    part = t.restrict(labels[:kept])
+    assert part.nodes == set(labels[:kept])
+    check_walk_tables(part)
 
 
 # Each set query names the least unknown label, whatever order the set iterates in.
