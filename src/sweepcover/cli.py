@@ -49,9 +49,9 @@ EXIT_PARSE = 2
 EXIT_PARAMS = 3
 EXIT_INTERNAL = 4
 
-# `discrepancy` holds every cover it searches for; it refuses a run whose
-# recurrence counts sum above this (4,978,688 covers at delta 2, n 10 took
-# about a minute) rather than grow without a bound.
+# `discrepancy` searches one size at a time and keeps only its count; it refuses
+# a run whose recurrence counts, the covers it would build across all sizes, sum
+# above this (the 4,978,688 covers at delta 2, n 10 took about a minute).
 DISCREPANCY_MAX_COVERS = 10**6
 
 

@@ -34,11 +34,11 @@ def set_partitions(
 ) -> Iterator[tuple[frozenset[str], ...]]:
     """All partitions of `elements` into at most `max_blocks` non-empty blocks, each once.
 
-    Split as the search splits a child set: for j = 0, 1, ... every j
-    singletons in `itertools.combinations` order, then every split of the
-    rest into r blocks of two or more (`nonsingleton_partitions`), r rising,
-    with j + r <= max_blocks.  Each partition lists its singletons first.
-    Nothing is yielded for no elements or for max_blocks < 1.
+    For j = 0, 1, ... every j singletons in `itertools.combinations` order,
+    then every split of the rest into r blocks of two or more
+    (`nonsingleton_partitions`), r rising, with j + r <= max_blocks.  Each
+    partition lists its singletons first.  Nothing is yielded for no
+    elements or for max_blocks < 1.
     """
     items = list(elements)
     if not items:
@@ -184,7 +184,7 @@ def brute_force_covers(tree: Tree, n: int) -> set[Cover]:
             for combo in itertools.combinations(kids, r):
                 blocks.append(frozenset(combo))
 
-    closure = {b: frozenset().union(*(tree.ancestors_of(x) for x in b)) for b in blocks}
+    closure = {b: tree.ancestors(b) for b in blocks}
 
     def compatible(a: frozenset[str], b: frozenset[str]) -> bool:
         # Disjoint and no cross ancestor-descendant relation; coverage is

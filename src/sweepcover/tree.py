@@ -172,11 +172,6 @@ class Tree:
             self._require(v)
         return tuple(kids or ())
 
-    def parent_of(self, v: str) -> str | None:
-        if (p := self._parent.get(v)) is None:
-            self._require(v)
-        return p
-
     def parents(self) -> Mapping[str, str]:
         """Read-only view of each node's parent; the root has no entry."""
         return MappingProxyType(self._parent)
@@ -273,7 +268,7 @@ def parse_tree(text: str) -> Tree:
 
 def serialize_tree(tree: Tree) -> str:
     """One "parent child" line per edge, parents and children both sorted."""
-    return "".join(f"{p} {c}\n" for p in sorted(tree.nodes) for c in sorted(tree.children_of(p)))
+    return "".join(f"{p} {c}\n" for p, c in sorted(tree.edges()))
 
 
 # -- truncated ILD trees -----------------------------------------------

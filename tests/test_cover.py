@@ -146,7 +146,7 @@ class TestInducedSubgraphs:
         # its member).
         cover = make_cover([["c", "d"], ["b"]])
         for block, sub in zip(canonical_blocks(cover), induced_subgraphs(FORK, cover)):
-            parents = {sub.parent_of(v) for v in block}
+            parents = {sub.parents().get(v) for v in block}
             assert len(parents) == 1
             (vp,) = parents
             assert all(len(sub.children_of(u)) == 1 for u in sub.ancestors_of(vp))
@@ -274,7 +274,7 @@ def reference_report(tree, cover):
 
     def ancestors(v):
         out = set()
-        while (v := tree.parent_of(v)) is not None:
+        while (v := tree.parents().get(v)) is not None:
             out.add(v)
         return out
 
@@ -284,7 +284,7 @@ def reference_report(tree, cover):
     shared = [v for i, b in enumerate(blocks) for v in b if any(v in a for a in blocks[:i])]
     if shared:
         found.append(("disjoint", (shared[0],)))
-    mixed = [b for b in blocks if len({tree.parent_of(v) for v in b}) > 1]
+    mixed = [b for b in blocks if len({tree.parents().get(v) for v in b}) > 1]
     if mixed:
         found.append(("siblings", mixed[0]))
     uncovered = {v for v in tree.nodes if not ({v} | ancestors(v)) & members} - {
@@ -358,7 +358,7 @@ def test_relatives_match_parent_walks(case, data):
 
     def ancestors(v):
         out = set()
-        while (v := tree.parent_of(v)) is not None:
+        while (v := tree.parents().get(v)) is not None:
             out.add(v)
         return out
 
@@ -395,7 +395,7 @@ def test_validate_reads_no_leaf_counts(monkeypatch):
         assert t.descendants(t.nodes) == t.nodes - {t.root}
         assert len(t) == len(t.nodes) and t.root in t and "not-a-node" not in t
         for v in t.nodes:
-            t.children_of(v), t.parent_of(v), t.ancestors_of(v)
+            t.children_of(v), t.parents().get(v), t.ancestors_of(v)
     assert leaf_count(caterpillar, "s0") == leaf_count(caterpillar, "s1") + 1 == 4001
 
 

@@ -1,5 +1,6 @@
 """Guard what `import sweepcover.cli` and the counting commands load, so
-start-up and per-command import cost cannot creep back.
+start-up and per-command import cost cannot creep back, and guard that the
+package exports nothing only the tests use.
 
 The check runs in a fresh `python -S` interpreter: without the `site` hook
 nothing else has loaded these modules, so the list below is what the
@@ -7,9 +8,11 @@ package alone pulls in.  It counts modules, not milliseconds, and so gives
 the same answer on any machine.
 """
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import sweepcover
 
@@ -64,3 +67,28 @@ def test_cli_import_loads_no_unneeded_module():
     assert "sweepcover.cli" in lines[0]
     for step, _, *loaded in lines:
         assert sorted(set(loaded).intersection(UNNEEDED)) == [], step
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    """Code outside the tests uses each exported name and public `Tree` attribute.
+
+    The code that counts is the package's modules (not `__init__.py`, which
+    only re-exports), the demos and the acceptance test.  A use is a name or
+    an attribute read in the parsed code, so a definition, an import, a
+    comment or a docstring is not one, and neither is a mention in README.
+    """
+    repo = Path(__file__).resolve().parents[1]
+    package = repo / "src" / "sweepcover"
+    paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((repo / "demos").glob("*.py"))
+    paths += [repo / "tests" / "test_acceptance.py"]
+    names, attributes = set(), set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    unused = set(sweepcover.__all__) - names - attributes
+    unused |= {n for n in dir(sweepcover.Tree) if not n.startswith("_")} - attributes
+    assert sorted(unused) == []

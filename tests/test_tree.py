@@ -210,6 +210,9 @@ class TestParse:
         again = parse_tree(serialize_tree(t))
         assert again.nodes == t.nodes
         assert set(again.edges()) == set(t.edges())
+        # Leaves listed with empty child lists add no line; children are sorted.
+        for kids in (["a", "b"], ["b", "a"]):
+            assert serialize_tree(Tree("r", {"r": kids, "a": [], "b": []})) == "r a\nr b\n"
 
 
 class TestQueries:
@@ -276,7 +279,7 @@ class TestQueries:
     def test_depth_parent_invariant(self):
         t = parse_tree("r a\nr b\na c\nc d")
         for v in t.nodes:
-            p = t.parent_of(v)
+            p = t.parents().get(v)
             if p is not None:
                 assert len(t.ancestors_of(p)) + 1 == len(t.ancestors_of(v))
 
@@ -305,10 +308,11 @@ class TestIld:
         star, *next_stars = [v for v in order if len(t.children_of(v)) > 1]
         assert len(t.ancestors_of(star)) == 2
         assert len(next_stars) == 2
+        parent = t.parents()
         for nxt in next_stars:
-            head = t.parent_of(t.parent_of(nxt))
-            assert t.parent_of(head) == star
-            assert len(t.children_of(head)) == len(t.children_of(t.parent_of(nxt))) == 1
+            head = parent[parent[nxt]]
+            assert parent[head] == star
+            assert len(t.children_of(head)) == len(t.children_of(parent[nxt])) == 1
             assert len(t.ancestors_of(nxt)) == len(t.ancestors_of(star)) + 3
 
     def test_deterministic_labels(self):
@@ -387,21 +391,26 @@ def test_random_attachment_tree_invariants(parent_picks, kept):
     for i, pick in enumerate(parent_picks, start=1):
         children.setdefault(labels[pick % i], []).append(labels[i])
     t = Tree(labels[0], children)
+    parent = t.parents()
     for v in t.nodes:
-        assert all(t.parent_of(c) == v for c in t.children_of(v))
-        p = t.parent_of(v)
+        assert all(parent[c] == v for c in t.children_of(v))
+        p = parent.get(v)
         assert t.ancestors_of(v) == (set() if p is None else {p} | t.ancestors_of(p))
         below = t.descendants([v])
         assert below == {u for u in t.nodes if v in t.ancestors_of(u)}
     check_walk_tables(t)
     again = parse_tree(serialize_tree(t))
     assert again.nodes == t.nodes and set(again.edges()) == set(t.edges())
+    assert again.root == t.root
     check_walk_tables(again)
     assert canonical_code(again) == canonical_code(t)
     # Each label's parent comes earlier in `labels`, so every prefix holds its ancestors.
     part = t.restrict(labels[:kept])
     assert part.nodes == set(labels[:kept])
     check_walk_tables(part)
+    if len(part) > 1:  # a lone root has no edge to write
+        again = parse_tree(serialize_tree(part))
+        assert (again.root, set(again.edges())) == (part.root, set(part.edges()))
 
 
 # Each set query names the least unknown label, whatever order the set iterates in.
@@ -534,7 +543,7 @@ def test_parse_tree_matches_tree(edges, newline):
             t.root,
             t.edges(),
             t.nodes,
-            {v: (t.children_of(v), t.parent_of(v), t.leaf_count(v)) for v in t.nodes},
+            {v: (t.children_of(v), t.parents().get(v), t.leaf_count(v)) for v in t.nodes},
         )
 
     text = "".join(f"{p} {c}{newline}" for p, c in edges)
