@@ -83,32 +83,27 @@ def _parse_range(text: str) -> tuple[int, int]:
 # -- command implementations -------------------------------------------
 
 
-def _enumerate_json(n: int, blocks: list[tuple[str, ...]], ranked: list[list[int]]) -> str:
-    """`json.dumps({"n": ..., "count": ..., "covers": ...}, indent=2) + "\\n"`, byte for byte.
-
-    The indenting encoder is pure Python and encodes every label of every
-    cover; here each block is laid out once, by rank, and a cover is one
-    join of those texts.
-    """
-    laid_out = [
-        "      [\n        " + ",\n        ".join(map(_json_str, b)) + "\n      ]" for b in blocks
-    ]
-    covers = ",\n".join(
-        "    [\n" + ",\n".join(map(laid_out.__getitem__, ranks)) + "\n    ]" for ranks in ranked
-    )
-    body = "[\n" + covers + "\n  ]" if ranked else "[]"
-    return f'{{\n  "n": {n},\n  "count": {len(ranked)},\n  "covers": {body}\n}}\n'
+# Each format's block open, label separator, block close and block separator: one block
+# text per rank, one C-level join per cover, and the bytes of json.dumps (indent=2 for JSON).
+_TEXT_LAYOUT = ("[", ", ", "]", ", ")
+_LAYOUT = {
+    "text": _TEXT_LAYOUT,
+    "csv": _TEXT_LAYOUT,
+    "json": ("      [\n        ", ",\n        ", "\n      ]", ",\n"),
+}
 
 
 def _cmd_enumerate(args: SimpleNamespace) -> str:
     tree = _read_tree(args.tree)
     blocks, ranked = canonical_rows(find_sweep_covers(tree, args.n))
-    if args.format == "json":
-        return _enumerate_json(args.n, blocks, ranked)
-    texts = ["[" + ", ".join(map(_json_str, b)) + "]" for b in blocks]  # json.dumps(b)
-    covers = map(", ".join, map(map, itertools.repeat(texts.__getitem__), ranked))
+    opener, sep, closer, between = _LAYOUT[args.format]
+    texts = [opener + sep.join(map(_json_str, b)) + closer for b in blocks]
+    covers = map(between.join, map(map, itertools.repeat(texts.__getitem__), ranked))
     if args.format == "csv":
         return _csv(["size", "cover"], zip(itertools.repeat(args.n), map("[{}]".format, covers)))
+    if args.format == "json":
+        body = "[\n    [\n" + "\n    ],\n    [\n".join(covers) + "\n    ]\n  ]" if ranked else "[]"
+        return f'{{\n  "n": {args.n},\n  "count": {len(ranked)},\n  "covers": {body}\n}}\n'
     return "[" + "]\n[".join(covers) + "]\n" if ranked else ""
 
 

@@ -141,13 +141,9 @@ class Tree:
     def __contains__(self, label: str) -> bool:
         return label in self._parent or label == self.root
 
-    def _require(self, v: str) -> None:
-        if v not in self:
-            raise UnknownNodeError(f"unknown node {v!r}")
-
-    def _known(self, vs: frozenset[str]) -> frozenset[str]:
-        """vs itself, if every label in it is a node; else name the least unknown one."""
-        if unknown := vs.difference(self._parent).difference((self.root,)):
+    def _known(self, vs: Iterable[str]) -> frozenset[str]:
+        """vs as a set, if every label in it is a node; else name the least unknown one."""
+        if unknown := (vs := frozenset(vs)).difference(self._parent).difference((self.root,)):
             raise UnknownNodeError(f"unknown node {min(unknown)!r}")
         return vs
 
@@ -157,7 +153,6 @@ class Tree:
 
     def leaf_count(self, v: str) -> int:
         """Number of leaves in v's subtree (1 when v is a leaf)."""
-        self._require(v)
         if (leaves := self._leaves) is None:
             # The build's walk reversed puts every child before its parent.
             children, leaves = self._children, {}
@@ -165,11 +160,13 @@ class Tree:
                 kids = children.get(u)
                 leaves[u] = sum(map(leaves.__getitem__, kids)) if kids else 1
             self._leaves = leaves
+        if v not in leaves:
+            self._known((v,))
         return leaves[v]
 
     def children_of(self, v: str) -> tuple[str, ...]:
         if (kids := self._children.get(v)) is None:
-            self._require(v)
+            self._known((v,))
         return tuple(kids or ())
 
     def parents(self) -> Mapping[str, str]:
@@ -193,7 +190,7 @@ class Tree:
         """Proper ancestors of any member of vs, each collected once."""
         parent, ancestors = self._parent, set()
         # A walk stops at a collected node: everything above it is collected.
-        for v in self._known(frozenset(vs)):
+        for v in self._known(vs):
             p = parent.get(v)
             while p is not None and p not in ancestors:
                 ancestors.add(p)
@@ -203,7 +200,7 @@ class Tree:
     def descendants(self, vs: Iterable[str]) -> set[str]:
         """Proper descendants of any member of vs, each collected once."""
         children, descendants = self._children, set()
-        vs = self._known(frozenset(vs))
+        vs = self._known(vs)
         # Only v's own walk collects v's children, so once its first child
         # is collected the rest of v's subtree is collected or queued.
         inner = list(filter(children.get, vs))
@@ -217,10 +214,13 @@ class Tree:
     def restrict(self, keep: Iterable[str]) -> "Tree":
         """The tree on the nodes in `keep`, rooted at the original root.
 
-        `keep` must hold the root and every ancestor of its members.  The kept
-        child lists go straight to the build step, their labels checked.
+        `keep`, even an empty one, must hold the root and every ancestor of its
+        members, or `TreeError` is raised.  The kept child lists go straight
+        to the build step, their labels checked.
         """
-        keep, children = self._known(frozenset(keep)), self._children
+        keep, children = self._known(keep), self._children
+        if self.root not in keep:
+            raise TreeError(f"restrict keeps no root: {self.root!r} is missing")
         kept = {v: [c for c in children.get(v, ()) if c in keep] for v in keep}
         return Tree.__new__(Tree)._build(self.root, kept, {c: p for p in kept for c in kept[p]})
 

@@ -241,6 +241,10 @@ class TestQueries:
             t.restrict({"r", "b", "e"})
         with pytest.raises(UnknownNodeError, match="^unknown node 'zz'$"):
             t.restrict({"r", "zz"})
+        # The empty keep lacks the root as much as a non-empty one does.
+        for keep in ((), {"c", "e"}):
+            with pytest.raises(TreeError, match=r"^restrict keeps no root: 'r' is missing$"):
+                t.restrict(keep)
 
     def test_depth_root_is_zero(self):
         t = parse_tree("r a\nr b")
@@ -275,6 +279,13 @@ class TestQueries:
         with pytest.raises(UnknownNodeError, match="'zz'"):
             t.leaf_count("zz")
         assert [t.leaf_count(v) for v in ("r", "a", "b")] == [2, 1, 1]
+
+    def test_children_of_unknown_label(self):
+        t = parse_tree("r a\nr b")
+        for query in (t.children_of, t.leaf_count):
+            with pytest.raises(UnknownNodeError, match="^unknown node 'zz'$"):
+                query("zz")
+        assert [t.children_of(v) for v in ("r", "a")] == [("a", "b"), ()]
 
     def test_depth_parent_invariant(self):
         t = parse_tree("r a\nr b\na c\nc d")
